@@ -80,7 +80,10 @@ def cmd_product(args, parser) -> int:
     source = {"kind": "product", "factors": ["factors/0", "factors/1"]}
     save_bundle(cx, out, provenance("product", source=source))
     for i, factor in enumerate((a, b)):
-        shutil.copytree(factor.path, out / "factors" / str(i), dirs_exist_ok=True)
+        dest = out / "factors" / str(i)
+        if dest.exists():
+            shutil.rmtree(dest)
+        shutil.copytree(factor.path, dest)
     print(f"wrote bundle {out} (m={cx.m}, dims={list(cx.dims)})")
     return EXIT_OK
 

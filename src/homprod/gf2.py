@@ -4,11 +4,15 @@ Each matrix row is stored as a single Python integer bitset (bit ``j``
 is column ``j``), which gives word-parallel XOR row operations and
 popcount weights without any third-party dependency.  All values are
 immutable after construction, so they can be shared freely.
+
+One forward-elimination primitive, ``_forward``, does all elimination.
+Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
+that map directly, and one back-substitution pass over it gives the
+reduced echelon form (RREF) behind the row, column and kernel bases.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 
@@ -235,49 +239,63 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     return BinMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-def _echelon(bits: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of a list of row bitsets.
-
-    Returns (rows, pivots) with pivot columns strictly increasing and each
-    pivot column containing a single 1.  First-nonzero pivoting; over GF(2)
-    there are no tie-breaking subtleties.
-    """
-    rows: list[int] = []
-    pivots: list[int] = []
+def _forward(bits: Iterable[int]) -> dict[int, int]:
+    """Reduce each row at its lowest set bit until that bit is a free pivot,
+    where the row is stored, or the row vanishes; returns ``pivot -> row``."""
+    basis: dict[int, int] = {}
     for b in bits:
-        for p, r in zip(pivots, rows):
-            if (b >> p) & 1:
-                b ^= r
-        if not b:
-            continue
-        p = (b & -b).bit_length() - 1
-        idx = bisect_left(pivots, p)
-        pivots.insert(idx, p)
-        rows.insert(idx, b)
-        for i in range(len(rows)):
-            if i != idx and (rows[i] >> p) & 1:
-                rows[i] ^= b
-    return rows, pivots
+        while b:
+            p = (b & -b).bit_length() - 1
+            r = basis.get(p)
+            if r is None:
+                basis[p] = b
+                break
+            b ^= r
+    return basis
+
+
+def _reduce(x: int, by_pivot: dict[int, int], pivot_mask: int) -> int:
+    """Reduce ``x`` by RREF rows: each row clears its own pivot bit and no other."""
+    hit = x & pivot_mask
+    while hit:
+        x ^= by_pivot[(hit & -hit).bit_length() - 1]
+        hit &= hit - 1
+    return x
 
 
 class EchelonBasis:
-    """A linearly independent row set in reduced echelon form.
+    """A linearly independent row set in RREF; a vector is in the span iff it reduces to 0.
 
-    Supports cheap reduction of a vector against the basis; a vector lies
-    in the span iff it reduces to zero.
+    Invariant: each pivot is the lowest set bit of its row, and no row has
+    another row's pivot bit set.  The constructor raises ``ValueError`` on
+    rows that break it; :meth:`from_rows` builds the basis from any rows.
     """
 
-    __slots__ = ("_ncols", "_rows", "_pivots")
+    __slots__ = ("_ncols", "_rows", "_pivots", "_by_pivot", "_pivot_mask")
 
     def __init__(self, ncols: int, rows: Sequence[int] = (), pivots: Sequence[int] = ()):
         self._ncols = ncols
         self._rows = tuple(rows)
         self._pivots = tuple(pivots)
+        self._by_pivot = dict(zip(self._pivots, self._rows))
+        if not len(self._rows) == len(self._pivots) == len(self._by_pivot):
+            raise ValueError("need one row per pivot, and distinct pivots")
+        self._pivot_mask = sum(1 << p for p in self._by_pivot)
+        for p, r in self._by_pivot.items():
+            if (r & -r).bit_length() - 1 != p or r & self._pivot_mask != 1 << p:
+                raise ValueError(f"row with pivot {p} is not in reduced echelon form")
 
     @classmethod
     def from_rows(cls, ncols: int, bits: Iterable[int]) -> "EchelonBasis":
-        rows, pivots = _echelon(bits)
-        return cls(ncols, rows, pivots)
+        """RREF of the span of ``bits`` (unique to the span): a forward pass,
+        then back-substitution in decreasing pivot order by reduced rows."""
+        basis = _forward(bits)
+        pivots = sorted(basis)
+        done = 0
+        for p in reversed(pivots):
+            basis[p] = _reduce(basis[p], basis, done)
+            done |= 1 << p
+        return cls(ncols, [basis[p] for p in pivots], pivots)
 
     @property
     def ncols(self) -> int:
@@ -300,10 +318,7 @@ class EchelonBasis:
 
     def reduce(self, x: int) -> int:
         """Residual of ``x`` after eliminating all pivot positions."""
-        for p, r in zip(self._pivots, self._rows):
-            if (x >> p) & 1:
-                x ^= r
-        return x
+        return _reduce(x, self._by_pivot, self._pivot_mask)
 
     def __contains__(self, x: int) -> bool:
         return self.reduce(x) == 0
@@ -314,8 +329,7 @@ class EchelonBasis:
 
 def rank(m: BinMatrix) -> int:
     """GF(2) rank; equals the rank of the transpose."""
-    _, pivots = _echelon(m.bits)
-    return len(pivots)
+    return len(_forward(m.bits))
 
 
 def row_space_basis(m: BinMatrix) -> EchelonBasis:
@@ -330,18 +344,16 @@ def column_space_basis(m: BinMatrix) -> EchelonBasis:
 
 def kernel_basis(m: BinMatrix) -> EchelonBasis:
     """Echelon basis of ``{x : m @ x = 0}``; size is ``cols - rank``."""
-    rows, pivots = _echelon(m.bits)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for p, r in zip(pivots, rows):
-            if (r >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return EchelonBasis.from_rows(m.cols, basis)
+    rref = row_space_basis(m)
+    free = {f: 1 << f for f in range(m.cols)}
+    # Free column f of the RREF row with pivot p puts p into f's vector.
+    for p, r in zip(rref.pivot_cols, rref.bits):
+        del free[p]
+        r ^= 1 << p
+        while r:
+            free[(r & -r).bit_length() - 1] |= 1 << p
+            r &= r - 1
+    return EchelonBasis.from_rows(m.cols, free.values())
 
 
 def solve(m: BinMatrix, y) -> int | None:
@@ -352,29 +364,13 @@ def solve(m: BinMatrix, y) -> int | None:
     ym = _as_mask(y, m.rows)
     shift = m.rows
     low_mask = (1 << shift) - 1
-    rows: list[int] = []
-    pivots: list[int] = []
-    # Eliminate the columns of m, tagging each with the combination that built it.
-    for k, col in enumerate(m.transpose().bits):
-        aug = col | (1 << (shift + k))
-        for p, r in zip(pivots, rows):
-            if (aug >> p) & 1:
-                aug ^= r
-        if not (aug & low_mask):
-            continue
-        p = ((aug & low_mask) & -(aug & low_mask)).bit_length() - 1
-        idx = bisect_left(pivots, p)
-        pivots.insert(idx, p)
-        rows.insert(idx, aug)
-        for i in range(len(rows)):
-            if i != idx and (rows[i] >> p) & 1:
-                rows[i] ^= aug
-    residual = ym
-    combo = 0
-    for p, r in zip(pivots, rows):
-        if (residual >> p) & 1:
-            residual ^= r & low_mask
-            combo ^= r >> shift
-    if residual:
-        return None
-    return combo
+    # Eliminate the columns of m, each tagged with the combination that
+    # built it.  Rows whose column part vanishes land on tag pivots, which
+    # the reduction of ``y`` never reaches.
+    basis = _forward(col | 1 << (shift + k) for k, col in enumerate(m.transpose().bits))
+    while ym & low_mask:
+        r = basis.get((ym & -ym).bit_length() - 1)
+        if r is None:
+            return None
+        ym ^= r
+    return ym >> shift

@@ -204,6 +204,26 @@ def test_verify_nested_product(tmp_path, capsys):
     assert "violations=0" in out
 
 
+def test_product_rerun_replaces_factor_copies(tmp_path, capsys):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    ab = tmp_path / "ab"
+    prod = tmp_path / "prod"
+    assert run(capsys, "build", "--ensemble", "rep:2", "--out", str(a))[0] == 0
+    assert run(capsys, "build", "--ensemble", "rep:3", "--out", str(b))[0] == 0
+    assert run(capsys, "product", str(a), str(b), "--out", str(ab))[0] == 0
+    # The first run copies a product bundle, with its own factors/, as factor 0.
+    assert run(capsys, "product", str(ab), str(a), "--out", str(prod))[0] == 0
+    assert run(capsys, "product", str(b), str(a), "--out", str(prod))[0] == 0
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert files(prod / "factors" / "0") == files(b)
+    assert files(prod / "factors" / "1") == files(a)
+
+
 def test_distance_defaults_to_all_levels(toric_bundle, capsys):
     code, out, _ = run(capsys, "distance", str(toric_bundle))
     assert code == 0

@@ -5,17 +5,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homprod import (
     BinMatrix,
     DimensionMismatch,
+    EchelonBasis,
     column_space_basis,
     kernel_basis,
     kron,
     rank,
+    row_space_basis,
     solve,
 )
-from helpers import random_matrix, ref_rank
+from helpers import (
+    _kernel_of_columns,
+    columns_as_masks,
+    random_matrix,
+    ref_echelon,
+    ref_rank,
+    ref_reduce,
+)
 
 
 def test_rank_identity():
@@ -200,3 +210,125 @@ def test_solve_length_violation():
         solve(BinMatrix.identity(2), 0b100)
     with pytest.raises(DimensionMismatch):
         solve(BinMatrix.identity(2), [1, 0, 1])
+
+
+def test_echelon_basis_rejects_non_reduced_rows():
+    EchelonBasis(3, [0b001, 0b110], [0, 1])
+    with pytest.raises(ValueError):
+        EchelonBasis(3, [0b011, 0b010], [0, 1])  # row 0 holds pivot bit 1
+    with pytest.raises(ValueError):
+        EchelonBasis(3, [0b110], [2])  # pivot is not the lowest set bit
+    with pytest.raises(ValueError):
+        EchelonBasis(3, [0b001, 0b011], [0, 0])  # repeated pivot
+    with pytest.raises(ValueError):
+        EchelonBasis(3, [0b001], [0, 1])  # more pivots than rows
+
+
+# --- property tests against the independent helpers -------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_dim=16):
+    """Any shape up to max_dim, zero rows or columns included.
+
+    Rows are sums of up to ``max_dim`` random generators, so rank-deficient
+    matrices are as common as full-rank ones.
+    """
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    gens = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_dim))
+    bits = []
+    for pick in draw(st.lists(st.integers(0, (1 << len(gens)) - 1),
+                              min_size=rows, max_size=rows)):
+        b = 0
+        for i, g in enumerate(gens):
+            if (pick >> i) & 1:
+                b ^= g
+        bits.append(b)
+    return BinMatrix(rows, cols, bits)
+
+
+EDGE_SHAPES = [BinMatrix(0, 5), BinMatrix(4, 0), BinMatrix(0, 0), BinMatrix.identity(3),
+               BinMatrix.from_string("1111 1111 0110"),  # rank-deficient
+               BinMatrix.from_string("10 01 11 10 01"),  # tall
+               BinMatrix.from_string("1011001 0110100")]  # wide
+
+
+# Vectors are drawn at the widest size and masked to the matrix shape.
+VECTOR = st.integers(0, (1 << 16) - 1)
+
+
+def edge_shapes(*extra):
+    """Decorator adding one explicit example per edge shape."""
+    def add(test):
+        for m in EDGE_SHAPES:
+            test = example(m, *extra)(test)
+        return test
+    return add
+
+
+@PROPERTY
+@given(matrices())
+@edge_shapes()
+def test_property_rank(m):
+    assert rank(m) == ref_rank(list(m.bits))
+
+
+@PROPERTY
+@given(matrices())
+@edge_shapes()
+def test_property_row_and_column_space_bases(m):
+    rows, pivots = ref_echelon(list(m.bits))
+    basis = row_space_basis(m)
+    assert (list(basis.bits), list(basis.pivot_cols)) == (rows, pivots)
+    rows, pivots = ref_echelon(columns_as_masks(list(m.bits), m.cols))
+    basis = column_space_basis(m)
+    assert (list(basis.bits), list(basis.pivot_cols)) == (rows, pivots)
+
+
+@PROPERTY
+@given(matrices())
+@edge_shapes()
+def test_property_kernel_basis_is_canonical(m):
+    # Kernel of m = left kernel of its transpose, built by the helpers alone.
+    transposed = columns_as_masks(list(m.bits), m.cols)
+    rows, pivots = ref_echelon(_kernel_of_columns(transposed, m.cols))
+    basis = kernel_basis(m)
+    assert (list(basis.bits), list(basis.pivot_cols)) == (rows, pivots)
+
+
+@PROPERTY
+@given(matrices(), VECTOR)
+@edge_shapes(0b1011)
+def test_property_solve(m, v):
+    cols = columns_as_masks(list(m.bits), m.cols)
+
+    def combine(x):
+        out = 0
+        for j, c in enumerate(cols):
+            if (x >> j) & 1:
+                out ^= c
+        return out
+
+    # An arbitrary right-hand side, then one known to be in the column span.
+    for y in (v & ((1 << m.rows) - 1), combine(v)):
+        x = solve(m, y)
+        if x is None:
+            assert ref_rank(cols + [y]) > ref_rank(cols)
+        else:
+            assert combine(x) == y
+
+
+@PROPERTY
+@given(matrices(), st.lists(VECTOR, max_size=8))
+@edge_shapes([0b1011, 0b0110])
+def test_property_echelon_basis_membership(m, xs):
+    basis = row_space_basis(m)
+    ref = ref_echelon(list(m.bits))
+    for x in (x & ((1 << m.cols) - 1) for x in xs):
+        assert basis.reduce(x) == ref_reduce(ref, x)
+        assert (x in basis) == (ref_reduce(ref, x) == 0)
+    for b in m.bits:
+        assert b in basis
