@@ -1,7 +1,8 @@
 """Command-line driver.
 
-Exit codes: 0 ok, 2 validation failure, 3 kernel cap exceeded, 4 parse or
-I/O error.  All commands are deterministic given their flags and seeds,
+Exit codes: 0 ok, 2 validation failure (bad arguments included), 3 some
+distance is only an interval because its kernel exceeded the cap, 4 parse
+or I/O error.  All commands are deterministic given their flags and seeds,
 and reports embed full provenance.
 """
 
@@ -42,6 +43,16 @@ _VALIDATION_ERRORS = (
     InvalidSpec,
     InvalidExponents,
 )
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _seed_matrix(args, parser):
@@ -175,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=int, default=DEFAULT_KERNEL_CAP,
                            help="kernel dimension cap for exact searches")
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_positive_int, default=1,
                            help="parallel sub-searches for the distance walk")
         if fmt:
             p.add_argument("--format", choices=FORMATS, default="report")

@@ -6,12 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import ChainComplex, LevelOutOfRange
-from .distance import (
-    DEFAULT_KERNEL_CAP,
-    KernelTooLarge,
-    homological_distance,
-    nontrivial_weight_upper_bound,
-)
+from .distance import DEFAULT_KERNEL_CAP, homological_distance
 from .extnat import ExtNat
 from .gf2 import BinMatrix, rank
 
@@ -43,8 +38,9 @@ class CssCode:
 class CodeParameters:
     """[[n, k, d]] data with per-side exactness.
 
-    When a distance search hits its kernel cap the side is reported as the
-    interval [d, d_upper] with ``exact`` false; otherwise both ends agree.
+    ``d_z`` is the level's homology side, ``d_x`` its cohomology side.  A
+    side past the kernel cap is the interval [d, d_upper] with ``exact``
+    false (the engine's, or the caller's bounds); otherwise both ends agree.
     """
 
     n: int
@@ -76,25 +72,21 @@ def _side_distance(stabilizer: BinMatrix, other: BinMatrix, cap: int,
                    fallback_bounds: tuple[ExtNat, ExtNat] | None):
     """Distance of one side: min weight in Ker(stabilizer) off the row span of other."""
     side = ChainComplex((stabilizer, other.transpose()))
-    try:
-        result = homological_distance(side, 1, cap=cap)
-        return result.value, result.value, True
-    except KernelTooLarge:
-        if fallback_bounds is not None:
-            lower, upper = fallback_bounds
-        else:
-            lower = ExtNat(1)
-            upper = nontrivial_weight_upper_bound(stabilizer, other.transpose())
-        return lower, upper, False
+    result = homological_distance(side, 1, cap=cap)
+    if result.exact or fallback_bounds is None:
+        return result.value, result.upper, result.exact
+    lower, upper = fallback_bounds
+    return lower, upper, False
 
 
 def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP, *,
                    z_bounds: tuple[ExtNat, ExtNat] | None = None,
                    x_bounds: tuple[ExtNat, ExtNat] | None = None) -> CodeParameters:
-    """n, k and both distances; degrades to bound intervals past the cap.
+    """n, k and both distances; a side past the cap is a bound interval.
 
     ``z_bounds``/``x_bounds`` let callers that know tighter intervals (for
-    instance from product bound formulas) substitute them on cap overflow.
+    instance from product bound formulas) substitute them for a side that
+    is not exact.
     """
     k = code.n - rank(code.g_x) - rank(code.g_z)
     d_z, d_z_up, exact_z = _side_distance(code.g_x, code.g_z, cap, z_bounds)

@@ -11,8 +11,7 @@ import json
 from . import __version__
 from .codes import sparsity
 from .complexes import ChainComplex
-from .distance import KernelTooLarge, cohomological_distance, homological_distance
-from .distance import nontrivial_weight_upper_bound
+from .distance import cohomological_distance, homological_distance
 from .extnat import ExtNat
 
 FORMATS = ("report", "json-lines")
@@ -53,28 +52,14 @@ def analysis_levels(cx: ChainComplex) -> list[dict]:
 def _side_entry(cx: ChainComplex, level: int, cohomology: bool, cap: int,
                 threads: int) -> dict:
     compute = cohomological_distance if cohomology else homological_distance
-    try:
-        result = compute(cx, level, cap=cap, workers=threads)
-        return {
-            "d": result.value,
-            "lower": result.value,
-            "upper": result.value,
-            "exact": True,
-            "witness": _witness_string(result.witness, cx.dim(level)),
-            "enumerated": result.enumerated,
-        }
-    except KernelTooLarge as exc:
-        side = cx.cochain() if cohomology else cx
-        j = cx.m - level if cohomology else level
-        upper = nontrivial_weight_upper_bound(side.boundary(j), side.boundary(j + 1))
-        return {
-            "d": None,
-            "lower": ExtNat(1),
-            "upper": upper,
-            "exact": False,
-            "witness": None,
-            "kernel_dim": exc.dim,
-        }
+    result = compute(cx, level, cap=cap, workers=threads)
+    entry = {"lower": result.value, "upper": result.upper, "exact": result.exact}
+    if result.exact:
+        entry.update(d=result.value, enumerated=result.enumerated,
+                     witness=_witness_string(result.witness, cx.dim(level)))
+    else:
+        entry.update(d=None, witness=None, kernel_dim=result.kernel_dim)
+    return entry
 
 
 def distance_levels(cx: ChainComplex, levels, cap: int, threads: int) -> tuple[list[dict], bool]:

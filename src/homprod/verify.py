@@ -3,8 +3,10 @@
 Rebuilds the product from its recorded factors and checks, level by
 level: dimension and homology-rank predictions, the bound sandwich around
 exhaustively computed distances, and exact agreement with the closed-form
-prediction when the right factor is a two-space complex.  Levels whose
-kernels exceed the cap are skipped with a note, never silently.
+prediction when the right factor is a two-space complex.  Distances come
+from the one distance engine; a level whose result is only an interval
+(kernel above the cap) has its distance checks skipped with a note, never
+silently.
 """
 
 from __future__ import annotations
@@ -46,13 +48,8 @@ class VerifyOutcome:
 
 def _exact_distances(cx: ChainComplex, cap: int, workers: int) -> list[ExtNat | None]:
     """Per-level exact distances, None where the kernel exceeds the cap."""
-    out: list[ExtNat | None] = []
-    for j in range(cx.m + 1):
-        try:
-            out.append(homological_distance(cx, j, cap=cap, workers=workers).value)
-        except KernelTooLarge:
-            out.append(None)
-    return out
+    results = (homological_distance(cx, j, cap=cap, workers=workers) for j in range(cx.m + 1))
+    return [r.value if r.exact else None for r in results]
 
 
 def _factor_pair(bundle: Bundle) -> tuple[ChainComplex, ChainComplex] | None:

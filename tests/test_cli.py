@@ -180,6 +180,14 @@ def test_threads_flag(toric_bundle, capsys):
     assert parse_report(out)["levels"][0]["homology"]["d"] == 3
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(toric_bundle, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", str(toric_bundle), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
 def test_gallager_build_reproducible(tmp_path, capsys):
     out1 = tmp_path / "g1"
     out2 = tmp_path / "g2"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from unittest.mock import Mock
 
 import pytest
 
+from homprod import distance
 from homprod import (
     BinMatrix,
     EnsembleSpec,
@@ -24,7 +26,8 @@ from homprod import (
     sparsity,
     tensor_product,
 )
-from helpers import random_complex
+from helpers import random_complex, random_product_complex
+from homprod.report import distance_levels
 
 
 def test_extract_css_orthogonality():
@@ -168,3 +171,27 @@ def test_sparsity_examples():
     for j in range(1, cx.m + 1):
         col_w, row_w = sparsity(cx.boundary(j))
         assert col_w <= 6 and row_w <= 6
+
+
+def test_past_cap_side_builds_each_kernel_once(monkeypatch):
+    counted = Mock(wraps=distance.kernel_basis)
+    monkeypatch.setattr(distance, "kernel_basis", counted)
+    params = css_parameters(extract_css(one_complex(BinMatrix.from_string("11111111")), 1),
+                            cap=3)
+    assert not params.exact_z and params.exact_x
+    assert counted.call_count == 2  # one per side
+
+
+def test_parameters_match_distance_report():
+    rng = random.Random(310)
+    for _ in range(12):
+        cx = random_product_complex(rng, n_factors=2, max_dim=3)
+        for j in range(cx.m + 1):
+            for cap in (2, 5, 28):
+                params = css_parameters(extract_css(cx, j), cap)
+                (entry,), _ = distance_levels(cx, [j], cap, 1)
+                hom, coh = entry["homology"], entry["cohomology"]
+                assert (params.d_z, params.d_z_upper, params.exact_z) == \
+                    (hom["lower"], hom["upper"], hom["exact"])
+                assert (params.d_x, params.d_x_upper, params.exact_x) == \
+                    (coh["lower"], coh["upper"], coh["exact"])

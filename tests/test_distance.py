@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from unittest.mock import Mock
 
 import pytest
 
+from homprod import distance
 from homprod import (
     BinMatrix,
     ChainComplex,
@@ -186,9 +188,16 @@ def test_enumerated_counts_full_walk():
 
 def test_kernel_cap():
     cx = one_complex(BinMatrix.from_string("1111111"))
-    # Single parity row over 7 bits: kernel dimension 6.
+    # Single parity row over 7 bits: kernel dimension 6.  Past the cap the
+    # result is the interval [1, lightest kernel basis vector].
+    bounded = homological_distance(cx, 1, cap=5)
+    assert bounded.exact is False
+    assert bounded.kernel_dim == 6
+    assert bounded.value == 1
+    assert bounded.upper == 2
+    # classical_distance needs an exact number, so it still raises.
     with pytest.raises(KernelTooLarge) as err:
-        homological_distance(cx, 1, cap=5)
+        classical_distance(BinMatrix.from_string("1111111"), 5)
     assert err.value.dim == 6
     assert homological_distance(cx, 1, cap=6).value == 2
 
@@ -235,3 +244,71 @@ def test_parallel_search_matches_serial():
     assert parallel.value == serial.value == 3
     assert parallel.enumerated == serial.enumerated == 2 ** 10 - 1
     assert parallel.witness.bit_count() == 3
+
+
+def test_past_cap_builds_the_kernel_once(monkeypatch):
+    cx = power_complex(repetition_circulant(3), 1, 1)
+    counted = Mock(wraps=distance.kernel_basis)
+    monkeypatch.setattr(distance, "kernel_basis", counted)
+    result = homological_distance(cx, 1, cap=5)
+    assert counted.call_count == 1
+    assert not result.exact and result.kernel_dim == 10
+    assert result.value == 1 and result.upper >= 3
+    assert result.witness is None and result.enumerated == 0
+
+
+def test_exact_result_upper_equals_value():
+    cx = power_complex(repetition_circulant(3), 1, 1)
+    for j in range(cx.m + 1):
+        for compute in (homological_distance, cohomological_distance):
+            result = compute(cx, j)
+            assert result.exact and result.upper == result.value
+
+
+def test_cohomology_equals_cochain_homology_in_every_field():
+    rng = random.Random(306)
+    for _ in range(25):
+        cx = random_complex(rng, m=rng.randint(1, 3), max_dim=7)
+        co = cx.cochain()
+        for j in range(cx.m + 1):
+            dim = cohomological_distance(cx, j).kernel_dim
+            for cap in (max(dim - 1, 0), dim):
+                lhs = cohomological_distance(cx, j, cap=cap)
+                rhs = homological_distance(co, cx.m - j, cap=cap)
+                assert lhs == rhs
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return list(map(fn, iterable))
+
+
+@pytest.mark.parametrize("workers, cpus, pool_size", [
+    (5000, 4, 4),     # capped by the CPU count; 512 tasks
+    (3, 64, 3),       # capped by workers; 4 tasks
+    (2, None, 1),     # unknown CPU count counts as one
+])
+def test_pool_size_is_bounded(monkeypatch, workers, cpus, pool_size):
+    cx = power_complex(repetition_circulant(3), 1, 1)
+    monkeypatch.setattr(distance, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(distance.os, "cpu_count", lambda: cpus)
+    _InlinePool.sizes = []
+    result = homological_distance(cx, 1, workers=workers)
+    assert _InlinePool.sizes == [pool_size]
+    assert result.value == 3 and result.enumerated == 2 ** 10 - 1
+    # The task split follows ``workers`` alone, not the pool size.
+    monkeypatch.setattr(distance.os, "cpu_count", lambda: 1)
+    assert homological_distance(cx, 1, workers=workers) == result

@@ -1,0 +1,27 @@
+"""The core library imports nothing outside the Python standard library."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "homprod").glob("*.py"))
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_core_imports_only_stdlib():
+    assert any(p.name == "gf2.py" for p in SOURCES)
+    outside = [f"{path.name}:{line}: {name}"
+               for path in SOURCES
+               for line, name in _absolute_imports(path)
+               if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside
