@@ -33,7 +33,8 @@ class InconsistentWeights(ParseError):
 
 
 def dumps_alist(m: BinMatrix) -> str:
-    col_w = m.col_weights()
+    cols = m.transpose()
+    col_w = cols.row_weights()
     row_w = m.row_weights()
     lines = [
         f"{m.cols} {m.rows}",
@@ -41,21 +42,11 @@ def dumps_alist(m: BinMatrix) -> str:
         " ".join(str(w) for w in col_w),
         " ".join(str(w) for w in row_w),
     ]
-    cols = m.transpose()
-    for j in range(m.cols):
-        b = cols.row_bits(j)
+    # Column adjacency lists (the rows of the transpose), then row lists.
+    for b in cols.bits + m.bits:
         entries = []
         while b:
-            i = (b & -b).bit_length() - 1
-            entries.append(str(i + 1))
-            b &= b - 1
-        lines.append(" ".join(entries))
-    for i in range(m.rows):
-        b = m.row_bits(i)
-        entries = []
-        while b:
-            j = (b & -b).bit_length() - 1
-            entries.append(str(j + 1))
+            entries.append(str((b & -b).bit_length()))
             b &= b - 1
         lines.append(" ".join(entries))
     return "\n".join(lines) + "\n"

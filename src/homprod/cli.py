@@ -24,7 +24,7 @@ from .complexes import (
     NotOrthogonal,
     one_complex,
 )
-from .distance import DEFAULT_KERNEL_CAP, KernelTooLarge
+from .distance import DEFAULT_KERNEL_CAP
 from .gf2 import DimensionMismatch
 from .products import InvalidExponents, power_complex, tensor_product
 from .report import FORMATS, analysis_levels, distance_levels, provenance, render
@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, cap=True, fmt=True)
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("verify", help="check product predictions and bound sandwich")
+    p = sub.add_parser("verify", help="check product predictions and the distance formula")
     p.add_argument("bundle")
     add_common(p, cap=True)
     p.set_defaults(func=cmd_verify)
@@ -248,9 +248,6 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except KernelTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

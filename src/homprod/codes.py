@@ -6,9 +6,9 @@ import random
 from dataclasses import dataclass
 
 from .complexes import ChainComplex, LevelOutOfRange
-from .distance import DEFAULT_KERNEL_CAP, homological_distance
+from .distance import DEFAULT_KERNEL_CAP, DistanceResult, _min_nontrivial
 from .extnat import ExtNat
-from .gf2 import BinMatrix, rank
+from .gf2 import BinMatrix
 
 
 class InvalidSpec(ValueError):
@@ -68,11 +68,7 @@ def extract_css(c: ChainComplex, level: int) -> CssCode:
                    level=level)
 
 
-def _side_distance(stabilizer: BinMatrix, other: BinMatrix, cap: int,
-                   fallback_bounds: tuple[ExtNat, ExtNat] | None):
-    """Distance of one side: min weight in Ker(stabilizer) off the row span of other."""
-    side = ChainComplex((stabilizer, other.transpose()))
-    result = homological_distance(side, 1, cap=cap)
+def _side(result: DistanceResult, fallback_bounds: tuple[ExtNat, ExtNat] | None):
     if result.exact or fallback_bounds is None:
         return result.value, result.upper, result.exact
     lower, upper = fallback_bounds
@@ -84,15 +80,18 @@ def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP, *,
                    x_bounds: tuple[ExtNat, ExtNat] | None = None) -> CodeParameters:
     """n, k and both distances; a side past the cap is a bound interval.
 
-    ``z_bounds``/``x_bounds`` let callers that know tighter intervals (for
-    instance from product bound formulas) substitute them for a side that
-    is not exact.
+    ``k`` comes from the two kernels the sides built: their dimensions are
+    n - rank g_x and n - rank g_z.  ``z_bounds``/``x_bounds`` let callers
+    that know tighter intervals (for instance from product bound formulas)
+    substitute them for a side that is not exact.
     """
-    k = code.n - rank(code.g_x) - rank(code.g_z)
-    d_z, d_z_up, exact_z = _side_distance(code.g_x, code.g_z, cap, z_bounds)
-    d_x, d_x_up, exact_x = _side_distance(code.g_z, code.g_x, cap, x_bounds)
-    return CodeParameters(n=code.n, k=k, d_z=d_z, d_x=d_x,
-                          d_z_upper=d_z_up, d_x_upper=d_x_up,
+    # Each side: min weight in Ker(stabilizer) off the row span of the other.
+    z = _min_nontrivial(code.g_x, code.g_z.transpose(), cap=cap)
+    x = _min_nontrivial(code.g_z, code.g_x.transpose(), cap=cap)
+    d_z, d_z_up, exact_z = _side(z, z_bounds)
+    d_x, d_x_up, exact_x = _side(x, x_bounds)
+    return CodeParameters(n=code.n, k=z.kernel_dim + x.kernel_dim - code.n,
+                          d_z=d_z, d_x=d_x, d_z_upper=d_z_up, d_x_upper=d_x_up,
                           exact_z=exact_z, exact_x=exact_x)
 
 

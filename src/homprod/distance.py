@@ -171,8 +171,8 @@ def classical_distance(p: BinMatrix, cap: int = DEFAULT_KERNEL_CAP, *,
     """Minimum weight of a nonzero vector with ``p @ x = 0``.
 
     Infinite when p has full column rank (only the zero codeword).  Raises
-    KernelTooLarge when the kernel dimension exceeds ``cap``, since callers
-    (the product bound formulas) need an exact number.
+    KernelTooLarge when the kernel dimension exceeds ``cap``, since the
+    result is a single exact number, never an interval.
     """
     result = _min_nontrivial(p, BinMatrix.zeros(p.cols, 0),
                              cap=cap, lower_bound=lower_bound, workers=workers)

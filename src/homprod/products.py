@@ -4,6 +4,9 @@ The level-l space of a product decomposes as a direct sum of Kronecker
 blocks A_i (x) B_{l-i}; blocks are always ordered by increasing i, which
 fixes the basis order the construction leaves open.  Sign factors play no
 role over GF(2) and are dropped throughout.
+
+The formulas are arithmetic over factor data (dimensions, homology ranks,
+per-level distances); none of them searches for a distance itself.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from functools import reduce
 from collections.abc import Sequence
 
 from .complexes import ChainComplex, one_complex
-from .distance import DEFAULT_KERNEL_CAP, classical_distance
 from .extnat import ExtNat, INFINITY, as_extnat, min_or_infinity
-from .gf2 import BinMatrix, hstack, kron, rank, vstack
+from .gf2 import BinMatrix, hstack, kron, vstack
 
 
 class InvalidExponents(ValueError):
@@ -36,24 +38,6 @@ class ProductLayout:
     @property
     def width(self) -> int:
         return sum(b[2] for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class DistanceBounds:
-    """Lower/upper distance bounds with an optional exact prediction."""
-
-    lower: ExtNat
-    upper: ExtNat
-    exact_prediction: ExtNat | None = None
-
-    def __post_init__(self):
-        if self.upper < self.lower:
-            raise ValueError(f"bounds out of order: {self.lower} > {self.upper}")
-        if self.exact_prediction is not None and not \
-                self.lower <= self.exact_prediction <= self.upper:
-            raise ValueError(
-                f"prediction {self.exact_prediction} outside "
-                f"[{self.lower}, {self.upper}]")
 
 
 def _block_indices(a: ChainComplex, b: ChainComplex, level: int) -> list[tuple[int, int]]:
@@ -158,37 +142,13 @@ def _at(distances: Sequence, i: int) -> ExtNat:
 
 
 def distance_upper_bound(d_a: Sequence, d_b: Sequence, level: int) -> ExtNat:
-    """Min over i of d_i(a) * d_{level-i}(b); infinite when no term is finite."""
+    """Min over i of d_i(a) * d_{level-i}(b); infinite when no term is finite.
+
+    An upper bound on the product's level distance in general, and exact
+    when b is a two-space complex K(p): the product distance is then
+    min(d_{level-1}(a) * d_1(K(p)), d_level(a) * d_0(K(p))), where d_0(K(p))
+    is 1 unless p has full row rank (then infinite) and d_1(K(p)) is the
+    classical distance under parity check p.
+    """
     terms = (_at(d_a, i) * _at(d_b, level - i) for i in range(level + 1))
     return min_or_infinity(terms)
-
-
-def distance_lower_bound(d_a: Sequence, p: BinMatrix, level: int, *,
-                         cap: int = DEFAULT_KERNEL_CAP) -> ExtNat:
-    """Lower bound on the product distance when the second factor is K(p).
-
-    With u the rank of p and delta the distance of the code with parity
-    check p (infinite at full column rank): min(d_level, d_{level-1} * delta)
-    when p has more rows than rank, else d_{level-1} * delta.
-    """
-    u = rank(p)
-    delta = classical_distance(p, cap)
-    tail = _at(d_a, level - 1) * delta
-    if p.rows > u:
-        return min_or_infinity((_at(d_a, level), tail))
-    return tail
-
-
-def predicted_distance(d_a: Sequence, p: BinMatrix, level: int, *,
-                       cap: int = DEFAULT_KERNEL_CAP) -> ExtNat:
-    """Exact distance of a product with K(p) in terms of factor distances.
-
-    min(d_{level-1}(a) * d_1(K(p)), d_level(a) * d_0(K(p))) where
-    d_0(K(p)) is 1 unless p has full row rank (then infinite) and
-    d_1(K(p)) is the classical distance under parity check p.  Coincides
-    with both the upper and the lower bound for such products.
-    """
-    u = rank(p)
-    d0 = ExtNat(1) if p.rows > u else INFINITY
-    d1 = classical_distance(p, cap)
-    return min_or_infinity((_at(d_a, level - 1) * d1, _at(d_a, level) * d0))

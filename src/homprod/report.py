@@ -11,7 +11,7 @@ import json
 from . import __version__
 from .codes import sparsity
 from .complexes import ChainComplex
-from .distance import cohomological_distance, homological_distance
+from .distance import DistanceResult, cohomological_distance, homological_distance
 from .extnat import ExtNat
 
 FORMATS = ("report", "json-lines")
@@ -49,33 +49,35 @@ def analysis_levels(cx: ChainComplex) -> list[dict]:
     return levels
 
 
-def _side_entry(cx: ChainComplex, level: int, cohomology: bool, cap: int,
-                threads: int) -> dict:
-    compute = cohomological_distance if cohomology else homological_distance
-    result = compute(cx, level, cap=cap, workers=threads)
+def _side_entry(result: DistanceResult, length: int) -> dict:
     entry = {"lower": result.value, "upper": result.upper, "exact": result.exact}
     if result.exact:
         entry.update(d=result.value, enumerated=result.enumerated,
-                     witness=_witness_string(result.witness, cx.dim(level)))
+                     witness=_witness_string(result.witness, length))
     else:
         entry.update(d=None, witness=None, kernel_dim=result.kernel_dim)
     return entry
 
 
 def distance_levels(cx: ChainComplex, levels, cap: int, threads: int) -> tuple[list[dict], bool]:
-    """Distance entries per requested level; flags whether any side hit the cap."""
+    """Distance entries per requested level; flags whether any side hit the cap.
+
+    ``k`` comes from the two kernels the engine built: their dimensions are
+    n - rank A_j and n - rank A_{j+1}, so no rank is eliminated again.
+    """
     entries = []
     cap_hit = False
     for j in levels:
-        homology = _side_entry(cx, j, False, cap, threads)
-        cohomology = _side_entry(cx, j, True, cap, threads)
-        cap_hit = cap_hit or not homology["exact"] or not cohomology["exact"]
+        homology = homological_distance(cx, j, cap=cap, workers=threads)
+        cohomology = cohomological_distance(cx, j, cap=cap, workers=threads)
+        cap_hit = cap_hit or not homology.exact or not cohomology.exact
+        n = cx.dim(j)
         entries.append({
             "j": j,
-            "n": cx.dim(j),
-            "k": cx.homology_rank(j),
-            "homology": homology,
-            "cohomology": cohomology,
+            "n": n,
+            "k": homology.kernel_dim + cohomology.kernel_dim - n,
+            "homology": _side_entry(homology, n),
+            "cohomology": _side_entry(cohomology, n),
             "sparsity": list(sparsity(cx.boundary(j))) if j >= 1 else None,
         })
     return entries, cap_hit

@@ -92,3 +92,27 @@ def test_trailing_blank_lines_tolerated():
     assert loads_alist(text) == BinMatrix.from_string("11")
     with pytest.raises(ParseError):
         loads_alist(dumps_alist(BinMatrix.from_string("11")) + "junk\n")
+
+
+def _naive_alist(rows: list[list[int]], ncols: int) -> str:
+    """The alist text of a 0/1 row list, built entry by entry."""
+    cols = [[i + 1 for i, row in enumerate(rows) if row[j]] for j in range(ncols)]
+    adj_rows = [[j + 1 for j in range(ncols) if row[j]] for row in rows]
+    col_w = [len(c) for c in cols]
+    row_w = [len(r) for r in adj_rows]
+    lines = [f"{ncols} {len(rows)}",
+             f"{max(col_w, default=0)} {max(row_w, default=0)}",
+             " ".join(map(str, col_w)), " ".join(map(str, row_w))]
+    lines += [" ".join(map(str, entries)) for entries in cols + adj_rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_dumps_matches_naive_writer():
+    rng = random.Random(602)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1)] + \
+        [(rng.randint(0, 12), rng.randint(0, 20)) for _ in range(40)]
+    for r, c in shapes:
+        density = rng.random()
+        rows = [[int(rng.random() < density) for _ in range(c)] for _ in range(r)]
+        m = BinMatrix(r, c, [sum(bit << j for j, bit in enumerate(row)) for row in rows])
+        assert dumps_alist(m) == _naive_alist(rows, c)

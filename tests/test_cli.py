@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+from unittest.mock import Mock
 
 import pytest
 
-from homprod import BinMatrix, css_parameters, CssCode, read_alist, write_alist
+from homprod import (
+    BinMatrix,
+    CssCode,
+    complexes,
+    css_parameters,
+    distance,
+    read_alist,
+    write_alist,
+)
 from homprod.cli import main
 
 
@@ -270,3 +279,35 @@ def test_power_from_matrix_file(tmp_path, capsys):
     code, text, _ = run(capsys, "verify", str(out))
     assert code == 0
     assert "violations=0" in text
+
+
+def test_distance_takes_k_from_the_engine_kernels(toric_bundle, capsys, monkeypatch):
+    counted = Mock(wraps=complexes.rank)
+    monkeypatch.setattr(complexes, "rank", counted)
+    code, out, _ = run(capsys, "distance", str(toric_bundle))
+    assert code == 0
+    assert [e["k"] for e in parse_report(out)["levels"]] == [1, 2, 1]
+    assert counted.call_count == 0
+
+
+def test_verify_one_complex_factor_calls_engine_once_per_level(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "rep4"
+    assert run(capsys, "power", "--ensemble", "rep:4", "--a", "2", "--b", "0",
+               "--out", str(out))[0] == 0
+    counted = Mock(wraps=distance._min_nontrivial)
+    monkeypatch.setattr(distance, "_min_nontrivial", counted)
+    code, text, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    assert "violations=0" in text
+    # Two levels of each K(p) factor and three of the product; the formula
+    # over those factor distances needs no walk of the seed of its own.
+    assert counted.call_count == 7
+
+
+def test_verify_checks_level_zero_past_the_cap(toric_bundle, capsys):
+    code, out, _ = run(capsys, "verify", str(toric_bundle), "--cap", "0")
+    assert code == 0
+    assert "violations=0" in out
+    assert "seed kernel above cap" not in out
+    # Level 1 walks nothing at cap 0, so its checks are skipped with a note.
+    assert "note: level 1: kernel above cap, distance checks skipped" in out

@@ -195,3 +195,27 @@ def test_parameters_match_distance_report():
                     (hom["lower"], hom["upper"], hom["exact"])
                 assert (params.d_x, params.d_x_upper, params.exact_x) == \
                     (coh["lower"], coh["upper"], coh["exact"])
+
+
+def test_parameters_reuse_the_code_and_the_side_kernels(monkeypatch):
+    import sys
+
+    from homprod import gf2
+
+    code = extract_css(power_complex(repetition_circulant(3), 1, 1), 1)
+    matmuls = []
+    matmul = BinMatrix.__matmul__
+
+    def counted_matmul(self, other):
+        matmuls.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(BinMatrix, "__matmul__", counted_matmul)
+    ranks = Mock(wraps=gf2.rank)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "homprod" and getattr(module, "rank", None) is gf2.rank:
+            monkeypatch.setattr(module, "rank", ranks)
+    params = css_parameters(code)
+    assert (params.n, params.k, params.d_z, params.d_x) == (18, 2, 3, 3)
+    assert matmuls == []
+    assert ranks.call_count == 0

@@ -12,14 +12,12 @@ from homprod import (
     ExtNat,
     INFINITY,
     InvalidExponents,
-    distance_lower_bound,
     distance_upper_bound,
     homological_distance,
     kunneth_ranks,
     one_complex,
     one_complex_product,
     power_complex,
-    predicted_distance,
     product_dimensions,
     product_layout,
     sparsity,
@@ -123,38 +121,24 @@ def test_upper_bound_examples():
 
 def test_lower_bound_rank_cases():
     d_a = [ExtNat(4), ExtNat(6)]
-    # Full row rank 1x2: delta = 2, bound is d_{j-1} * delta.
-    assert distance_lower_bound(d_a, P2, 1) == 8
-    # Rank-deficient 2x1 with full column rank: delta infinite, bound is d_j.
-    assert distance_lower_bound(d_a, P2.transpose(), 1) == 6
-    assert distance_lower_bound(d_a, P2.transpose(), 0) == 4
+    # Full row rank 1x2: delta = 2, the distance is d_{j-1} * delta.
+    d_p = factor_distances(one_complex(P2))
+    assert distance_upper_bound(d_a, d_p, 1) == 8
+    # Rank-deficient 2x1 with full column rank: delta infinite, it is d_j.
+    d_pt = factor_distances(one_complex(P2.transpose()))
+    assert distance_upper_bound(d_a, d_pt, 1) == 6
+    assert distance_upper_bound(d_a, d_pt, 0) == 4
 
 
 def test_prediction_examples():
     a = one_complex(P2)
     d_a = factor_distances(a)
-    assert predicted_distance(d_a, P2.transpose(), 1) == 2
+    assert distance_upper_bound(d_a, factor_distances(one_complex(P2.transpose())), 1) == 2
     # Full-row-rank repetition-3 parity crossed with its transpose.
     rep3 = BinMatrix.from_string("110 011")
     d_rep = factor_distances(one_complex(rep3))
     assert d_rep == [INFINITY, ExtNat(3)]
-    assert predicted_distance(d_rep, rep3.transpose(), 1) == 3
-
-
-def test_three_formulas_agree_for_one_complex_factor():
-    rng = random.Random(405)
-    for _ in range(40):
-        p = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        b = one_complex(p)
-        d_b = factor_distances(b)
-        d_a = []
-        for _ in range(rng.randint(1, 4)):
-            d_a.append(INFINITY if rng.random() < 0.3 else ExtNat(rng.randint(1, 9)))
-        for j in range(len(d_a) + 2):
-            upper = distance_upper_bound(d_a, d_b, j)
-            lower = distance_lower_bound(d_a, p, j)
-            predicted = predicted_distance(d_a, p, j)
-            assert upper == lower == predicted
+    assert distance_upper_bound(d_rep, factor_distances(one_complex(rep3.transpose())), 1) == 3
 
 
 def test_power_complex_families():
@@ -241,19 +225,8 @@ def test_sandwich_on_random_one_complex_products():
                 break
             exact = naive_level_distance(cx, j)
             assert exact is not None
-            lower = distance_lower_bound(d_a, p, j)
-            upper = distance_upper_bound(d_a, d_b, j)
-            assert lower <= ExtNat(exact) <= upper
+            # Exact for a K(p) factor, not only an upper bound.
+            assert distance_upper_bound(d_a, d_b, j) == ExtNat(exact)
         if usable:
             done += 1
 
-
-def test_distance_bounds_invariants():
-    from homprod import DistanceBounds
-
-    DistanceBounds(lower=ExtNat(2), upper=ExtNat(4), exact_prediction=ExtNat(3))
-    DistanceBounds(lower=INFINITY, upper=INFINITY, exact_prediction=INFINITY)
-    with pytest.raises(ValueError):
-        DistanceBounds(lower=ExtNat(5), upper=ExtNat(4))
-    with pytest.raises(ValueError):
-        DistanceBounds(lower=ExtNat(2), upper=ExtNat(4), exact_prediction=ExtNat(5))

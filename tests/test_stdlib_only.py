@@ -25,3 +25,26 @@ def test_core_imports_only_stdlib():
                for line, name in _absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+def _module_imports(tree: ast.Module):
+    """(line, bound name) for each name a top-level import statement binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_module_imports_are_used():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for line, name in _module_imports(tree) if name not in used]
+    assert not unused, unused
