@@ -15,6 +15,7 @@ read and never emitted on write.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 from .gf2 import BinMatrix
@@ -111,9 +112,27 @@ def loads_alist(text: str) -> BinMatrix:
     return BinMatrix(rows, cols, bits)
 
 
+def _write_text_atomic(path, text: str, encoding: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it onto ``path``.
+
+    An interrupted write leaves ``path`` as it was, and the temporary file
+    is removed.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding=encoding) as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_alist(m: BinMatrix, path) -> None:
-    with open(os.fspath(path), "w", encoding="ascii") as fh:
-        fh.write(dumps_alist(m))
+    _write_text_atomic(path, dumps_alist(m), "ascii")
 
 
 def read_alist(path) -> BinMatrix:

@@ -1,4 +1,8 @@
-"""On-disk complex bundles: a manifest plus one alist file per boundary."""
+"""On-disk complex bundles: a manifest plus one alist file per boundary.
+
+Each file is written to a temporary name and renamed into place, so an
+interrupted save never leaves a truncated file behind.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alist import ParseError, read_alist, write_alist
+from .alist import ParseError, _write_text_atomic, read_alist, write_alist
 from .complexes import ChainComplex
 from .gf2 import DimensionMismatch
 
@@ -45,9 +49,8 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
         "boundaries": names,
         "provenance": provenance or {},
     }
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text_atomic(directory / MANIFEST_NAME,
+                       json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
     return directory
 
 

@@ -4,8 +4,13 @@ The homological distance at level j is the minimum Hamming weight over
 cycles (kernel vectors of A_j) that are not boundaries (outside the column
 span of A_{j+1}).  The engine walks the whole kernel with a Gray code, one
 basis flip per step, and tests boundary membership only for candidates
-that would improve the current minimum.  Past the kernel cap it walks
-nothing and bounds the distance by the lightest nontrivial basis vector.
+that would improve the current minimum.  On levels narrower than 128 bits
+the walk first weighs each block of 2**10 consecutive steps at once, with
+SWAR arithmetic on one packed int, and steps through only the blocks
+holding a vector lighter than the current minimum; the skipped blocks
+hold no candidate, so the result, witness and step count are those of
+the plain walk.  Past the kernel cap it walks nothing and bounds the
+distance by the lightest nontrivial basis vector.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from .complexes import ChainComplex, LevelOutOfRange
 from .extnat import INFINITY, ExtNat, as_extnat
@@ -60,12 +66,77 @@ def _is_boundary(x: int, image_pairs) -> bool:
     return not x
 
 
+# A block is 2**_BLOCK_BITS consecutive Gray steps: the lowest kernel
+# vectors run through all their combinations while the rest stay fixed.
+_BLOCK_BITS = 10
+# Widest packed field, in bits: the filter's byte arithmetic needs every
+# weight below 128.
+_MAX_FIELD_BITS = 128
+
+
+class _PackedBlocks:
+    """SWAR weight filter over the blocks of one Gray walk.
+
+    Each of a block's 2**k vectors gets an s-bit field of one Python int:
+    one of the 2**k combinations of the k low vectors (a fixed table) XOR
+    the block's fixed high part, kept replicated across all fields.  Each
+    block visits every combination once, in an order that differs between
+    blocks, but the filter asks only whether any of them is light, so one
+    table in subset order serves every block.  A few big-int operations
+    then give every field's weight at once.
+    """
+
+    def __init__(self, low, high, start: int, field_bits: int):
+        # Double the table once per low vector: the new upper half is the
+        # lower half with that vector added.  ``ones`` has a 1 in every field.
+        table, ones = 0, 1
+        for i, b in enumerate(low):
+            shift = field_bits << i
+            table |= (table ^ b * ones) << shift
+            ones |= ones << shift
+        self.table = table
+        self.high = [g * ones for g in high]
+        self.replicated = start * ones
+        width = field_bits // 8
+        every_byte = int.from_bytes(b"\1" * (width << len(low)), "little")
+        self.m1, self.m2, self.m4 = 0x55 * every_byte, 0x33 * every_byte, 0x0F * every_byte
+        # Multiplying byte counts by this sums each field's bytes into its top byte.
+        self.byte_sum = int.from_bytes(b"\1" * width, "little")
+        self.top_byte = ones << (field_bits - 8)
+        self.top_bit = 0x80 * self.top_byte
+        self.threshold = None
+
+    def may_improve(self, block: int, threshold: int) -> bool:
+        """Move to ``block`` (from ``block - 1``); true when some field weighs under ``threshold``.
+
+        Weights and ``threshold`` are at most 128 here, so adding 128 -
+        threshold to a field's weight sets bit 7 of its top byte exactly
+        when the weight reaches the threshold, with no carry between fields.
+        """
+        self.replicated ^= self.high[(block & -block).bit_length() - 1]
+        if threshold != self.threshold:
+            self.threshold, self.offset = threshold, (0x80 - threshold) * self.top_byte
+        x = self.table ^ self.replicated
+        x -= (x >> 1) & self.m1
+        x = (x & self.m2) + ((x >> 2) & self.m2)
+        x = ((x + (x >> 4)) & self.m4) * self.byte_sum
+        return (x + self.offset) & self.top_bit != self.top_bit
+
+
 def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
     """Gray-code walk over the span of ``kernel_bits`` offset by ``start``.
 
     Visits ``start`` plus all 2**len(kernel_bits) - 1 nonzero combinations
     XORed onto it, skipping the zero vector.  Returns (best, witness, count),
     with best and witness None when every visited vector is a boundary.
+
+    The steps go in blocks of 2**k, k = min(dim, _BLOCK_BITS).  On a level
+    of width n < _MAX_FIELD_BITS, a block other than the first is first
+    checked whole by ``_PackedBlocks``: when none of its vectors weighs
+    less than the current minimum, no step in it could pass the ``w <
+    best`` test, so it is skipped.  Every other block is walked step by
+    step, and a stop at ``stop_at`` happens at the same step as in a plain
+    walk, so (best, witness, count) do not depend on the blocks.
     """
     # No combination outweighs the sum of the weights, so the first
     # nontrivial cycle always improves on this.
@@ -75,17 +146,38 @@ def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
         best, witness = start.bit_count(), start
         if stop_at is not None and best <= stop_at:
             return best, witness, 1
+    k = min(len(kernel_bits), _BLOCK_BITS)
+    low, high = kernel_bits[:k], kernel_bits[k:]
+    size = 1 << k
+    # The flips inside a block; together they flip the top low vector.
+    flips = [low[(t & -t).bit_length() - 1] for t in range(1, size)]
+    # Every visited vector fits in n bits; a field is a power of two of at
+    # least n + 1 bits and at least a byte.
+    n = max(b.bit_length() for b in (start, *kernel_bits))
+    field_bits = max(8, 1 << n.bit_length())
+    packed = None
+    if high and field_bits <= _MAX_FIELD_BITS:
+        packed = _PackedBlocks(low, high, start, field_bits)
     x = start
-    step = 0
-    for step in range(1, 1 << len(kernel_bits)):
-        x ^= kernel_bits[(step & -step).bit_length() - 1]
-        w = x.bit_count()
-        if w < best and not _is_boundary(x, image_pairs):
-            best = w
-            witness = x
-            if stop_at is not None and best <= stop_at:
-                break
-    count = step + 1 if start else step
+    for block in range(1 << len(high)):
+        base = block << k
+        if block:
+            g = high[(block & -block).bit_length() - 1]
+            if packed is not None and not packed.may_improve(block, min(best, n + 1)):
+                x ^= g ^ low[-1]
+                continue
+            steps = zip(range(base, base + size), chain((g,), flips))
+        else:
+            steps = zip(range(1, size), flips)
+        for step, f in steps:
+            x ^= f
+            w = x.bit_count()
+            if w < best and not _is_boundary(x, image_pairs):
+                best = w
+                witness = x
+                if stop_at is not None and best <= stop_at:
+                    return best, witness, step + 1 if start else step
+    count = (1 << len(kernel_bits)) - (0 if start else 1)
     return (None if witness is None else best), witness, count
 
 

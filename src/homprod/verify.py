@@ -5,7 +5,8 @@ level: dimension and homology-rank predictions, and the distance formula
 over the factor distances.  When the right factor is a two-space complex
 K(p) the formula is exact, so the product distance must equal it;
 otherwise it is an upper bound.  Distances come from the one distance
-engine, once per level of each factor and of the product; a level whose
+engine, once per level of the product and once per factor level that a
+check reads (a factor equal to the other is walked once); a level whose
 result is only an interval (kernel above the cap) has its distance checks
 skipped with a note, never silently.
 """
@@ -43,9 +44,9 @@ class VerifyOutcome:
             self.violations.append(message)
 
 
-def _exact_distances(cx: ChainComplex, cap: int, workers: int) -> list[ExtNat | None]:
-    """Per-level exact distances, None where the kernel exceeds the cap."""
-    results = (homological_distance(cx, j, cap=cap, workers=workers) for j in range(cx.m + 1))
+def _exact_distances(cx: ChainComplex, levels: int, cap: int, workers: int) -> list[ExtNat | None]:
+    """Exact distances of levels 0..levels-1, None where the kernel exceeds the cap."""
+    results = (homological_distance(cx, j, cap=cap, workers=workers) for j in range(levels))
     return [r.value if r.exact else None for r in results]
 
 
@@ -97,9 +98,13 @@ def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP,
         outcome.check(kunneth_ranks(a, b, j) == cx.homology_rank(j),
                       f"level {j}: homology rank prediction != actual")
 
-    d_a = _exact_distances(a, cap, workers)
-    d_b = _exact_distances(b, cap, workers)
-    d_c = _exact_distances(cx, cap, workers)
+    d_c = _exact_distances(cx, cx.m + 1, cap, workers)
+    # The formula at level j reads factor distances at indices 0..j, so the
+    # factors are walked only up to the highest level it is checked at.
+    top = max((j for j in range(cx.m + 1) if d_c[j] is not None and cx.homology_rank(j)),
+              default=-1)
+    d_a = _exact_distances(a, min(a.m, top) + 1, cap, workers)
+    d_b = d_a if b == a else _exact_distances(b, min(b.m, top) + 1, cap, workers)
 
     for j in range(cx.m + 1):
         exact = d_c[j]

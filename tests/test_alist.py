@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
+from homprod import alist
+from homprod.bundle import load_bundle, save_bundle
 from homprod import (
     BinMatrix,
     InconsistentWeights,
     ParseError,
     dumps_alist,
     loads_alist,
+    one_complex,
     read_alist,
     write_alist,
 )
@@ -116,3 +120,54 @@ def test_dumps_matches_naive_writer():
         rows = [[int(rng.random() < density) for _ in range(c)] for _ in range(r)]
         m = BinMatrix(r, c, [sum(bit << j for j, bit in enumerate(row)) for row in rows])
         assert dumps_alist(m) == _naive_alist(rows, c)
+
+
+class _HalfWrite:
+    """A text file that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError("no space left on device")
+
+
+def _fail_writes_to(monkeypatch, name):
+    """Make every write to a file whose path contains ``name`` stop midway."""
+    def opener(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _HalfWrite(fh) if name in os.fspath(path) else fh
+    monkeypatch.setattr(alist, "open", opener, raising=False)
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.alist"
+    old = BinMatrix.from_string("110 011")
+    write_alist(old, path)
+    _fail_writes_to(monkeypatch, "m.alist")
+    with pytest.raises(OSError):
+        write_alist(BinMatrix.identity(5), path)
+    assert os.listdir(tmp_path) == ["m.alist"]
+    assert path.read_text() == dumps_alist(old)
+
+
+def test_interrupted_manifest_write_keeps_the_old_manifest(tmp_path, monkeypatch):
+    cx = one_complex(BinMatrix.from_string("110 011"))
+    save_bundle(cx, tmp_path, {"run": 1})
+    before = sorted(os.listdir(tmp_path))
+    manifest = (tmp_path / "manifest.json").read_text()
+    _fail_writes_to(monkeypatch, "manifest.json")
+    with pytest.raises(OSError):
+        save_bundle(cx, tmp_path, {"run": 2})
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "manifest.json").read_text() == manifest
+    assert load_bundle(tmp_path).provenance == {"run": 1}

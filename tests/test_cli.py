@@ -299,9 +299,39 @@ def test_verify_one_complex_factor_calls_engine_once_per_level(tmp_path, capsys,
     code, text, _ = run(capsys, "verify", str(out))
     assert code == 0
     assert "violations=0" in text
-    # Two levels of each K(p) factor and three of the product; the formula
-    # over those factor distances needs no walk of the seed of its own.
-    assert counted.call_count == 7
+    # Three levels of the product and two of K(p), walked once for both
+    # (equal) factors; the formula needs no walk of the seed of its own.
+    assert counted.call_count == 5
+
+
+@pytest.mark.parametrize("spec, a, b, calls", [
+    # Product levels 0..2, then K(p) and K(p^T) at level 0 only: levels 1
+    # and 2 are above the cap, so no check reads a factor level above 0.
+    ("gallager:3,6,36", "1", "1", 5),
+    # The same, with one level-0 walk shared by the two equal K(p) factors.
+    ("gallager:3,6,24", "2", "0", 4),
+])
+def test_verify_walks_only_the_factor_levels_it_checks(tmp_path, capsys, monkeypatch,
+                                                       spec, a, b, calls):
+    out = tmp_path / "bundle"
+    assert run(capsys, "power", "--ensemble", spec, "--a", a, "--b", b, "--seed", "1",
+               "--out", str(out))[0] == 0
+    results = []
+
+    def record(*args, **kwargs):
+        results.append(engine(*args, **kwargs))
+        return results[-1]
+
+    engine = distance._min_nontrivial
+    monkeypatch.setattr(distance, "_min_nontrivial", record)
+    code, text, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    assert text == ("note: level 1: kernel above cap, distance checks skipped\n"
+                    "note: level 2: kernel above cap, distance checks skipped\n"
+                    "checks=9 violations=0\n")
+    assert len(results) == calls
+    # The seed's kernel (2^20 and 2^14 vectors) is never walked.
+    assert sum(r.enumerated for r in results) == 0
 
 
 def test_verify_checks_level_zero_past_the_cap(toric_bundle, capsys):

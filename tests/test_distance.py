@@ -6,8 +6,10 @@ import random
 from unittest.mock import Mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homprod import distance
+from homprod.gf2 import EchelonBasis
 from homprod import (
     BinMatrix,
     ChainComplex,
@@ -22,7 +24,13 @@ from homprod import (
     rank,
     repetition_circulant,
 )
-from helpers import naive_level_distance, random_complex, random_matrix
+from helpers import (
+    mat_columns,
+    naive_level_distance,
+    random_complex,
+    random_matrix,
+    ref_gray_walk,
+)
 
 
 def toric_lattice_complex(L: int) -> ChainComplex:
@@ -312,3 +320,67 @@ def test_pool_size_is_bounded(monkeypatch, workers, cpus, pool_size):
     # The task split follows ``workers`` alone, not the pool size.
     monkeypatch.setattr(distance.os, "cpu_count", lambda: 1)
     assert homological_distance(cx, 1, workers=workers) == result
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 140), dim=st.integers(0, 12), block_bits=st.sampled_from([2, 3, 10]),
+       density=st.sampled_from([0.05, 0.2, 0.5]), images=st.integers(0, 4),
+       offset=st.booleans(), stop=st.sampled_from([None, 1, 2, "d"]),
+       seed=st.integers(0, 2**32 - 1))
+# Widths 127 and 128 sit on either side of the packing limit (fields of
+# at most 128 bits); dims 9, 10 and 11 fall below, at and above one
+# block of 2**10 steps.
+@example(width=127, dim=11, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1)
+@example(width=128, dim=11, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1)
+@example(width=36, dim=10, block_bits=10, density=0.2, images=1, offset=False, stop="d", seed=2)
+@example(width=100, dim=9, block_bits=10, density=0.05, images=3, offset=True, stop=2, seed=3)
+@example(width=60, dim=12, block_bits=3, density=0.05, images=2, offset=True, stop="d", seed=4)
+@example(width=300, dim=8, block_bits=2, density=0.02, images=1, offset=False, stop=1, seed=5)
+@example(width=7, dim=6, block_bits=2, density=0.5, images=4, offset=True, stop=None, seed=6)
+@example(width=20, dim=0, block_bits=10, density=0.2, images=0, offset=True, stop=None, seed=7)
+# These walk blocks after skipped ones, so a skip that loses track of the
+# current vector changes their result.
+@example(width=36, dim=12, block_bits=3, density=0.2, images=2, offset=True, stop=None, seed=2)
+@example(width=127, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop=2, seed=4)
+@example(width=7, dim=9, block_bits=2, density=0.05, images=0, offset=False, stop=None, seed=1)
+def test_walk_matches_reference_walk(width, dim, block_bits, density, images, offset, stop, seed):
+    rng = random.Random(seed)
+    kernel_bits = list(random_matrix(rng, dim, width, density).bits)
+    # Boundaries lie in the span of the cycles, as in a complex.
+    image_rows = []
+    for _ in range(images):
+        row = 0
+        for b in kernel_bits:
+            row ^= rng.choice((0, b))
+        image_rows.append(row)
+    start = random_matrix(rng, 1, width, density).bits[0] if offset else 0
+    if stop == "d":
+        stop = ref_gray_walk(kernel_bits, image_rows, start, None)[0]
+    image = EchelonBasis.from_rows(width, image_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_BLOCK_BITS", block_bits)
+        got = distance._walk_range(kernel_bits, tuple(zip(image.pivot_cols, image.bits)),
+                                   start, stop)
+    assert got == ref_gray_walk(kernel_bits, image_rows, start, stop)
+
+
+def test_toric_l4_walk_matches_reference_and_skips_blocks(monkeypatch):
+    cx = toric_lattice_complex(4)
+    weighed = []
+    may_improve = distance._PackedBlocks.may_improve
+
+    def record(self, block, threshold):
+        weighed.append(may_improve(self, block, threshold))
+        return weighed[-1]
+
+    monkeypatch.setattr(distance._PackedBlocks, "may_improve", record)
+    result = homological_distance(cx, 1)
+    assert result.enumerated == 2**17 - 1
+    kernel = kernel_basis(cx.boundary(1)).bits
+    reference = ref_gray_walk(kernel, mat_columns(cx.boundary(2)), 0, None)
+    assert (result.value, result.witness, result.enumerated) == reference
+    assert result.value == 4
+    # The 2**7 blocks after the first are weighed packed, and most hold no
+    # vector lighter than the minimum found so far.
+    assert len(weighed) == 2**7 - 1
+    assert weighed.count(False) > len(weighed) // 2
