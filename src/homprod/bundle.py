@@ -55,7 +55,7 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
 
 
 def load_bundle(directory) -> Bundle:
-    """Read a bundle and re-validate the complex against its manifest."""
+    """Read a bundle; the complex is checked on construction and against its manifest."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     try:

@@ -14,16 +14,10 @@ import shutil
 import sys
 from pathlib import Path
 
-from .alist import ParseError, read_alist, write_alist
+from .alist import ParseError, _write_text_atomic, read_alist, write_alist
 from .bundle import load_bundle, save_bundle
 from .codes import EnsembleSpec, InvalidSpec, extract_css, generate_matrix
-from .complexes import (
-    ChainComplex,
-    IndexOutOfRange,
-    LevelOutOfRange,
-    NotOrthogonal,
-    one_complex,
-)
+from .complexes import ChainComplex, LevelOutOfRange, NotOrthogonal, one_complex
 from .distance import DEFAULT_KERNEL_CAP
 from .gf2 import DimensionMismatch
 from .products import InvalidExponents, power_complex, tensor_product
@@ -39,7 +33,6 @@ _VALIDATION_ERRORS = (
     DimensionMismatch,
     NotOrthogonal,
     LevelOutOfRange,
-    IndexOutOfRange,
     InvalidSpec,
     InvalidExponents,
 )
@@ -166,9 +159,8 @@ def cmd_export_css(args, parser) -> int:
     write_alist(code.g_x, out / "gx.alist")
     write_alist(code.g_z, out / "gz.alist")
     meta = {"level": args.level, "n": code.n, "g_x": "gx.alist", "g_z": "gz.alist"}
-    with open(out / "css.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text_atomic(out / "css.json", json.dumps(meta, indent=2, sort_keys=True) + "\n",
+                       "utf-8")
     print(f"wrote {out / 'gx.alist'} and {out / 'gz.alist'}")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import ChainComplex, LevelOutOfRange
-from .distance import DEFAULT_KERNEL_CAP, DistanceResult, _min_nontrivial
+from .distance import DEFAULT_KERNEL_CAP, _min_nontrivial
 from .extnat import ExtNat
 from .gf2 import BinMatrix
 
@@ -39,8 +39,8 @@ class CodeParameters:
     """[[n, k, d]] data with per-side exactness.
 
     ``d_z`` is the level's homology side, ``d_x`` its cohomology side.  A
-    side past the kernel cap is the interval [d, d_upper] with ``exact``
-    false (the engine's, or the caller's bounds); otherwise both ends agree.
+    side past the kernel cap is the engine's interval [d, d_upper] with
+    ``exact`` false; otherwise both ends agree.
     """
 
     n: int
@@ -68,31 +68,18 @@ def extract_css(c: ChainComplex, level: int) -> CssCode:
                    level=level)
 
 
-def _side(result: DistanceResult, fallback_bounds: tuple[ExtNat, ExtNat] | None):
-    if result.exact or fallback_bounds is None:
-        return result.value, result.upper, result.exact
-    lower, upper = fallback_bounds
-    return lower, upper, False
-
-
-def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP, *,
-                   z_bounds: tuple[ExtNat, ExtNat] | None = None,
-                   x_bounds: tuple[ExtNat, ExtNat] | None = None) -> CodeParameters:
-    """n, k and both distances; a side past the cap is a bound interval.
+def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP) -> CodeParameters:
+    """n, k and both distances; a side past the cap is the engine's interval.
 
     ``k`` comes from the two kernels the sides built: their dimensions are
-    n - rank g_x and n - rank g_z.  ``z_bounds``/``x_bounds`` let callers
-    that know tighter intervals (for instance from product bound formulas)
-    substitute them for a side that is not exact.
+    n - rank g_x and n - rank g_z.
     """
     # Each side: min weight in Ker(stabilizer) off the row span of the other.
     z = _min_nontrivial(code.g_x, code.g_z.transpose(), cap=cap)
     x = _min_nontrivial(code.g_z, code.g_x.transpose(), cap=cap)
-    d_z, d_z_up, exact_z = _side(z, z_bounds)
-    d_x, d_x_up, exact_x = _side(x, x_bounds)
     return CodeParameters(n=code.n, k=z.kernel_dim + x.kernel_dim - code.n,
-                          d_z=d_z, d_x=d_x, d_z_upper=d_z_up, d_x_upper=d_x_up,
-                          exact_z=exact_z, exact_x=exact_x)
+                          d_z=z.value, d_x=x.value, d_z_upper=z.upper, d_x_upper=x.upper,
+                          exact_z=z.exact, exact_x=x.exact)
 
 
 @dataclass(frozen=True)

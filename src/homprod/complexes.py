@@ -9,7 +9,7 @@ and homology formulas need no branches.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .gf2 import BinMatrix, DimensionMismatch, rank
 
@@ -24,10 +24,6 @@ class NotOrthogonal(ValueError):
 
 class LevelOutOfRange(IndexError):
     """Requested level is outside 0..m."""
-
-
-class IndexOutOfRange(IndexError):
-    """Column index set violates its ambient bounds or ordering."""
 
 
 class ChainComplex:
@@ -116,48 +112,6 @@ class ChainComplex:
         return f"ChainComplex(m={self.m}, dims={self._dims})"
 
 
-def validate(boundaries: Sequence[BinMatrix]) -> ChainComplex:
-    """Build a complex, raising DimensionMismatch or NotOrthogonal on failure."""
-    return ChainComplex(boundaries)
-
-
 def one_complex(p: BinMatrix) -> ChainComplex:
     """The two-space complex defined by a single matrix."""
     return ChainComplex((p,))
-
-
-def _checked_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = tuple(indices)
-    prev = -1
-    for i in idx:
-        if not isinstance(i, int) or i <= prev:
-            raise IndexOutOfRange("index set must be strictly increasing integers")
-        if i >= n:
-            raise IndexOutOfRange(f"index {i} outside ambient length {n}")
-        prev = i
-    return idx
-
-
-def puncture(g: BinMatrix, indices: Iterable[int]) -> BinMatrix:
-    """Keep only the listed columns.
-
-    Applied to a generator matrix, the result generates the code with all
-    other coordinates dropped.
-    """
-    idx = _checked_indices(indices, g.cols)
-    bits = []
-    for b in g.bits:
-        nb = 0
-        for k, c in enumerate(idx):
-            nb |= ((b >> c) & 1) << k
-        bits.append(nb)
-    return BinMatrix(g.rows, len(idx), bits)
-
-
-def shorten_parity(p: BinMatrix, indices: Iterable[int]) -> BinMatrix:
-    """Column restriction of a parity check matrix.
-
-    The result is the parity check of the shortened code: codewords
-    supported inside the index set, restricted to it.
-    """
-    return puncture(p, indices)

@@ -11,6 +11,10 @@ holding a vector lighter than the current minimum; the skipped blocks
 hold no candidate, so the result, witness and step count are those of
 the plain walk.  Past the kernel cap it walks nothing and bounds the
 distance by the lightest nontrivial basis vector.
+
+A classical code's distance under parity check p is level 1 of its
+two-space complex, ``homological_distance(one_complex(p), 1)``, with the
+same interval past the cap.
 """
 
 from __future__ import annotations
@@ -26,15 +30,6 @@ from .extnat import INFINITY, ExtNat, as_extnat
 from .gf2 import BinMatrix, EchelonBasis, column_space_basis, kernel_basis
 
 DEFAULT_KERNEL_CAP = 28
-
-
-class KernelTooLarge(RuntimeError):
-    """Kernel dimension exceeds the enumeration cap where an exact number is required."""
-
-    def __init__(self, dim: int, cap: int):
-        super().__init__(f"kernel dimension {dim} exceeds cap {cap}")
-        self.dim = dim
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -256,18 +251,3 @@ def cohomological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KE
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
     return _min_nontrivial(c.boundary(level + 1).transpose(), c.boundary(level).transpose(),
                            cap=cap, lower_bound=lower_bound, workers=workers)
-
-
-def classical_distance(p: BinMatrix, cap: int = DEFAULT_KERNEL_CAP, *,
-                       lower_bound=None, workers: int = 1) -> ExtNat:
-    """Minimum weight of a nonzero vector with ``p @ x = 0``.
-
-    Infinite when p has full column rank (only the zero codeword).  Raises
-    KernelTooLarge when the kernel dimension exceeds ``cap``, since the
-    result is a single exact number, never an interval.
-    """
-    result = _min_nontrivial(p, BinMatrix.zeros(p.cols, 0),
-                             cap=cap, lower_bound=lower_bound, workers=workers)
-    if not result.exact:
-        raise KernelTooLarge(result.kernel_dim, cap)
-    return result.value

@@ -3,7 +3,9 @@
 The level-l space of a product decomposes as a direct sum of Kronecker
 blocks A_i (x) B_{l-i}; blocks are always ordered by increasing i, which
 fixes the basis order the construction leaves open.  Sign factors play no
-role over GF(2) and are dropped throughout.
+role over GF(2) and are dropped throughout.  ``tensor_product`` is the one
+construction: the paper's complexes, each the previous one times a
+two-space complex K(p), are ``tensor_product(a, one_complex(p))``.
 
 The formulas are arithmetic over factor data (dimensions, homology ranks,
 per-level distances); none of them searches for a distance itself.
@@ -11,7 +13,6 @@ per-level distances); none of them searches for a distance itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from collections.abc import Sequence
 
@@ -24,31 +25,10 @@ class InvalidExponents(ValueError):
     """Power construction needs at least one factor."""
 
 
-@dataclass(frozen=True)
-class ProductLayout:
-    """Block decomposition of one product level.
-
-    ``blocks`` lists (i, j, width) with i + j = level, ordered by
-    increasing i; widths sum to the product dimension at this level.
-    """
-
-    level: int
-    blocks: tuple[tuple[int, int, int], ...]
-
-    @property
-    def width(self) -> int:
-        return sum(b[2] for b in self.blocks)
-
-
 def _block_indices(a: ChainComplex, b: ChainComplex, level: int) -> list[tuple[int, int]]:
     lo = max(0, level - b.m)
     hi = min(a.m, level)
     return [(i, level - i) for i in range(lo, hi + 1)]
-
-
-def product_layout(a: ChainComplex, b: ChainComplex, level: int) -> ProductLayout:
-    blocks = tuple((i, j, a.dim(i) * b.dim(j)) for i, j in _block_indices(a, b, level))
-    return ProductLayout(level, blocks)
 
 
 def product_dimensions(a: ChainComplex, b: ChainComplex, level: int) -> int:
@@ -89,36 +69,6 @@ def tensor_product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
                     strip.append(BinMatrix.zeros(height, a.dim(i) * b.dim(j)))
             rows.append(hstack(strip))
         boundaries.append(vstack(rows))
-    return ChainComplex(boundaries)
-
-
-def one_complex_product(a: ChainComplex, p: BinMatrix) -> ChainComplex:
-    """Product with the two-space complex of ``p``, assembled block by block.
-
-    Boundary l of the result is, in block form,
-
-        [ A_{l-1} (x) E_c          0        ]
-        [ E_{n_{l-1}} (x) P   A_l (x) E_r   ]
-
-    with the top block row absent at l = 1 and the right block column
-    absent at l = m + 1.  Bit-identical to ``tensor_product(a, one_complex(p))``.
-    """
-    r, c = p.rows, p.cols
-    boundaries = []
-    for level in range(1, a.m + 2):
-        top = None
-        if level >= 2:
-            left = kron(a.boundary(level - 1), BinMatrix.identity(c))
-            if level <= a.m:
-                top = hstack([left, BinMatrix.zeros(left.rows, a.dim(level) * r)])
-            else:
-                top = left
-        bottom_left = kron(BinMatrix.identity(a.dim(level - 1)), p)
-        if level <= a.m:
-            bottom = hstack([bottom_left, kron(a.boundary(level), BinMatrix.identity(r))])
-        else:
-            bottom = bottom_left
-        boundaries.append(bottom if top is None else vstack([top, bottom]))
     return ChainComplex(boundaries)
 
 

@@ -8,14 +8,15 @@ otherwise it is an upper bound.  Distances come from the one distance
 engine, once per level of the product and once per factor level that a
 check reads (a factor equal to the other is walked once); a level whose
 result is only an interval (kernel above the cap) has its distance checks
-skipped with a note, never silently.
+skipped with a note, never silently.  A missing or malformed provenance
+field that the rebuild reads raises ``ParseError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .alist import read_alist
+from .alist import ParseError, read_alist
 from .bundle import Bundle, load_bundle
 from .complexes import ChainComplex, one_complex
 from .distance import DEFAULT_KERNEL_CAP, homological_distance
@@ -50,20 +51,35 @@ def _exact_distances(cx: ChainComplex, levels: int, cap: int, workers: int) -> l
     return [r.value if r.exact else None for r in results]
 
 
+def _source_field(source: dict, key: str, valid, expected: str):
+    """``source[key]`` when ``valid`` accepts it; ParseError for a missing or malformed field."""
+    value = source.get(key)
+    if not valid(value):
+        raise ParseError(1, f"manifest provenance {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def _factor_pair(bundle: Bundle) -> tuple[ChainComplex, ChainComplex] | None:
     """The two factors recorded in the bundle, or None for non-product bundles."""
     source = bundle.source
     kind = source.get("kind")
     if kind == "product":
-        dirs = source.get("factors", [])
-        if len(dirs) != 2:
-            return None
+        dirs = _source_field(source, "factors",
+                             lambda v: type(v) is list and len(v) == 2
+                             and all(type(d) is str for d in v),
+                             "a list of two paths")
         a = load_bundle(bundle.path / dirs[0]).complex
         b = load_bundle(bundle.path / dirs[1]).complex
         return a, b
     if kind == "power":
-        p = read_alist(bundle.path / source["matrix"])
-        a_exp, b_exp = source["a"], source["b"]
+        matrix = _source_field(source, "matrix", lambda v: type(v) is str, "a file name")
+        p = read_alist(bundle.path / matrix)
+        a_exp = _source_field(source, "a", _is_count, "an int >= 0")
+        b_exp = _source_field(source, "b", _is_count, "an int >= 0")
         if a_exp + b_exp < 2:
             return None
         if b_exp >= 1:

@@ -118,6 +118,47 @@ def ref_gray_walk(kernel_bits, image_rows, start, stop_at):
     return best, witness, count
 
 
+def ref_one_complex_product(a: ChainComplex, p: BinMatrix):
+    """Boundaries of the product of ``a`` with K(p), set entry by entry.
+
+    Boundary l is, in block form,
+
+        [ A_{l-1} (x) E_c          0        ]
+        [ E_{n_{l-1}} (x) P   A_l (x) E_r   ]
+
+    (r, c = the shape of p), with the top block row absent at l = 1 and
+    the right block column absent at l = m + 1.  Row and column orders are
+    those of the library's block order: level l is n_{l-1} * c coordinates
+    (index u * c + t) followed by n_l * r (index u * r + s).
+    """
+    r, c = p.rows, p.cols
+    n = a.dims
+    boundaries = []
+    for level in range(1, a.m + 2):
+        top = n[level - 2] * c if level >= 2 else 0
+        left = n[level - 1] * c
+        rows = [0] * (top + n[level - 1] * r)
+        width = left + (n[level] * r if level <= a.m else 0)
+        if level >= 2:
+            for x, y in _entries(a.boundary(level - 1)):
+                for t in range(c):
+                    rows[x * c + t] |= 1 << (y * c + t)
+        for u in range(n[level - 1]):
+            for s, t in _entries(p):
+                rows[top + u * r + s] |= 1 << (u * c + t)
+        if level <= a.m:
+            for x, y in _entries(a.boundary(level)):
+                for t in range(r):
+                    rows[top + x * r + t] |= 1 << (left + y * r + t)
+        boundaries.append(BinMatrix(len(rows), width, rows))
+    return tuple(boundaries)
+
+
+def _entries(m: BinMatrix):
+    """(row, column) of every set entry."""
+    return [(i, j) for i in range(m.rows) for j in range(m.cols) if (m.row_bits(i) >> j) & 1]
+
+
 def naive_level_distance(cx: ChainComplex, j: int):
     """Naive oracle applied to a complex level (use only for small n_j)."""
     parity = [cx.boundary(j).row_bits(i) for i in range(cx.boundary(j).rows)]

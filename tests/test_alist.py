@@ -9,6 +9,7 @@ import pytest
 
 from homprod import alist
 from homprod.bundle import load_bundle, save_bundle
+from homprod.cli import main as cli_main
 from homprod import (
     BinMatrix,
     InconsistentWeights,
@@ -171,3 +172,17 @@ def test_interrupted_manifest_write_keeps_the_old_manifest(tmp_path, monkeypatch
     assert sorted(os.listdir(tmp_path)) == before
     assert (tmp_path / "manifest.json").read_text() == manifest
     assert load_bundle(tmp_path).provenance == {"run": 1}
+
+
+def test_interrupted_css_export_keeps_the_old_metadata(tmp_path, monkeypatch, capsys):
+    bundle = tmp_path / "bundle"
+    css = tmp_path / "css"
+    assert cli_main(["power", "--ensemble", "rep:3", "--a", "1", "--b", "1",
+                     "--out", str(bundle)]) == 0
+    assert cli_main(["export-css", str(bundle), "--level", "1", "--out", str(css)]) == 0
+    meta = (css / "css.json").read_text()
+    _fail_writes_to(monkeypatch, "css.json")
+    assert cli_main(["export-css", str(bundle), "--level", "0", "--out", str(css)]) == 4
+    assert "no space left on device" in capsys.readouterr().err
+    assert sorted(os.listdir(css)) == ["css.json", "gx.alist", "gz.alist"]
+    assert (css / "css.json").read_text() == meta

@@ -341,3 +341,37 @@ def test_verify_checks_level_zero_past_the_cap(toric_bundle, capsys):
     assert "seed kernel above cap" not in out
     # Level 1 walks nothing at cap 0, so its checks are skipped with a note.
     assert "note: level 1: kernel above cap, distance checks skipped" in out
+
+
+def _set_source(bundle, key, value):
+    """Rewrite one provenance source field of a bundle; None removes it."""
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    source = manifest["provenance"]["source"]
+    if value is None:
+        del source[key]
+    else:
+        source[key] = value
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key, value", [("a", None), ("b", "1"), ("a", -1), ("matrix", 3)])
+def test_verify_rejects_malformed_power_provenance(toric_bundle, capsys, key, value):
+    _set_source(toric_bundle, key, value)
+    code, out, err = run(capsys, "verify", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and f"provenance {key!r}" in err
+
+
+@pytest.mark.parametrize("factors", [None, ["factors/0"], ["factors/0", 1]])
+def test_verify_rejects_malformed_product_provenance(tmp_path, capsys, factors):
+    a = tmp_path / "a"
+    ab = tmp_path / "ab"
+    assert run(capsys, "build", "--ensemble", "rep:2", "--out", str(a))[0] == 0
+    assert run(capsys, "product", str(a), str(a), "--out", str(ab))[0] == 0
+    _set_source(ab, "factors", factors)
+    code, out, err = run(capsys, "verify", str(ab))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "provenance 'factors'" in err

@@ -17,6 +17,7 @@ from homprod import (
     extract_css,
     gallager_matrix,
     generate_matrix,
+    homological_distance,
     kunneth_ranks,
     one_complex,
     power_complex,
@@ -95,24 +96,12 @@ def test_parameters_degrade_to_interval_past_cap():
     assert params.exact_x
 
 
-def test_parameters_accept_supplied_bounds():
-    from homprod import ExtNat
-
-    cx = one_complex(BinMatrix.from_string("11111111"))
-    params = css_parameters(extract_css(cx, 1), cap=3,
-                            z_bounds=(ExtNat(2), ExtNat(2)))
-    assert not params.exact_z
-    assert params.d_z == 2 and params.d_z_upper == 2
-
-
 def test_circulant_repetition_properties():
     p = repetition_circulant(3)
     assert rank(p) == 2
     cx = one_complex(p)
     assert cx.homology_ranks() == (1, 1)
-    from homprod import classical_distance
-
-    assert classical_distance(p) == 3
+    assert homological_distance(cx, 1).value == 3
 
 
 def test_repetition_parity_full_rank_form():
@@ -123,9 +112,7 @@ def test_repetition_parity_full_rank_form():
 
 
 def test_identity_ensemble_distance():
-    from homprod import classical_distance
-
-    assert classical_distance(BinMatrix.identity(4)) == INFINITY
+    assert homological_distance(one_complex(BinMatrix.identity(4)), 1).value == INFINITY
 
 
 def test_gallager_structure():

@@ -1,4 +1,4 @@
-"""Complex validation, homology ranks, cochains, puncture/shorten."""
+"""Complex validation, homology ranks, cochains."""
 
 from __future__ import annotations
 
@@ -12,40 +12,35 @@ from homprod import (
     DimensionMismatch,
     ExtNat,
     INFINITY,
-    IndexOutOfRange,
     LevelOutOfRange,
     NotOrthogonal,
-    kernel_basis,
     min_or_infinity,
     one_complex,
-    puncture,
-    shorten_parity,
-    validate,
 )
-from helpers import random_complex, random_matrix, ref_rank
+from helpers import random_complex, ref_rank
 
 
 def test_validate_single_matrix():
-    cx = validate([BinMatrix.from_string("10 01 11")])
+    cx = ChainComplex([BinMatrix.from_string("10 01 11")])
     assert cx.m == 1
     assert cx.dims == (3, 2)
 
 
 def test_validate_orthogonal_pair():
-    cx = validate([BinMatrix.from_string("11"), BinMatrix.from_rows([[1], [1]])])
+    cx = ChainComplex([BinMatrix.from_string("11"), BinMatrix.from_rows([[1], [1]])])
     assert cx.m == 2
     assert cx.dims == (1, 2, 1)
 
 
 def test_validate_rejects_nonorthogonal():
     with pytest.raises(NotOrthogonal) as err:
-        validate([BinMatrix.from_string("11"), BinMatrix.from_rows([[1], [0]])])
+        ChainComplex([BinMatrix.from_string("11"), BinMatrix.from_rows([[1], [0]])])
     assert err.value.level == 2
 
 
 def test_validate_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        validate([BinMatrix.from_string("11"), BinMatrix.identity(3)])
+        ChainComplex([BinMatrix.from_string("11"), BinMatrix.identity(3)])
 
 
 def test_homology_ranks_repetition():
@@ -104,69 +99,6 @@ def test_boundaries_are_cycles():
             a_j, a_next = cx.boundary(j), cx.boundary(j + 1)
             for col in a_next.transpose().bits:
                 assert a_j.mul_vec(col) == 0
-
-
-def test_puncture_all_columns():
-    g = BinMatrix.from_string("101 110")
-    assert puncture(g, range(3)) == g
-
-
-def test_puncture_selected_columns():
-    assert puncture(BinMatrix.from_string("101"), [0, 2]) == BinMatrix.from_string("11")
-
-
-def test_puncture_empty_set():
-    out = puncture(BinMatrix.from_string("101"), [])
-    assert out.shape == (1, 0)
-
-
-def test_puncture_rejects_bad_indices():
-    g = BinMatrix.from_string("101")
-    with pytest.raises(IndexOutOfRange):
-        puncture(g, [0, 3])
-    with pytest.raises(IndexOutOfRange):
-        puncture(g, [2, 0])
-
-
-def test_shorten_parity_examples():
-    p = BinMatrix.from_string("110 011")
-    assert shorten_parity(p, range(3)) == p
-    assert shorten_parity(p, [0, 1]) == BinMatrix.from_string("11 01")
-
-
-def test_shorten_repetition_becomes_trivial():
-    # The restricted parity check has full column rank: only the zero word.
-    restricted = shorten_parity(BinMatrix.from_string("110 011"), [0, 1])
-    assert len(kernel_basis(restricted)) == 0
-
-
-def test_shorten_puncture_duality():
-    # Codewords supported inside the index set, restricted to it, are
-    # exactly the kernel of the restricted parity check (enumerated).
-    rng = random.Random(204)
-    for _ in range(20):
-        n = rng.randint(2, 12)
-        p = random_matrix(rng, rng.randint(1, n), n)
-        keep = sorted(rng.sample(range(n), rng.randint(1, n)))
-        outside = [i for i in range(n) if i not in keep]
-        outside_mask = sum(1 << i for i in outside)
-        supported = set()
-        for x in range(1 << n):
-            if x & outside_mask:
-                continue
-            if p.mul_vec(x):
-                continue
-            supported.add(sum(((x >> c) & 1) << i for i, c in enumerate(keep)))
-        restricted = shorten_parity(p, keep)
-        kernel_words = set()
-        basis = kernel_basis(restricted)
-        for combo in range(1 << len(basis)):
-            x = 0
-            for i, b in enumerate(basis.bits):
-                if (combo >> i) & 1:
-                    x ^= b
-            kernel_words.add(x)
-        assert supported == kernel_words
 
 
 def test_extnat_arithmetic():

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homprod import (
     BinMatrix,
@@ -16,10 +17,8 @@ from homprod import (
     homological_distance,
     kunneth_ranks,
     one_complex,
-    one_complex_product,
     power_complex,
     product_dimensions,
-    product_layout,
     sparsity,
     tensor_product,
 )
@@ -28,6 +27,7 @@ from helpers import (
     random_complex,
     random_matrix,
     random_sparse,
+    ref_one_complex_product,
 )
 
 P2 = BinMatrix.from_string("11")
@@ -43,9 +43,6 @@ def test_product_dims_qhp_block():
     cx = tensor_product(a, b)
     assert cx.dims == (2, 5, 2)
     assert product_dimensions(a, b, 1) == 5
-    layout = product_layout(a, b, 1)
-    assert layout.blocks == ((0, 1, 1), (1, 0, 4))
-    assert layout.width == 5
 
 
 def test_product_with_identity_one_complex_kills_homology():
@@ -73,7 +70,7 @@ def test_one_complex_product_block_example():
     # Hand-assembled blocks for A = K([1 1]) against the column seed [1;1].
     a = one_complex(P2)
     p = P2.transpose()
-    cx = one_complex_product(a, p)
+    cx = tensor_product(a, one_complex(p))
     assert cx.boundary(1).to_lists() == [[1, 1, 0, 1, 0], [1, 0, 1, 0, 1]]
     assert cx.boundary(2).to_lists() == [[1, 1], [1, 0], [1, 0], [0, 1], [0, 1]]
     assert (cx.boundary(1) @ cx.boundary(2)).is_zero()
@@ -83,17 +80,30 @@ def test_one_complex_product_degenerate_zero_columns():
     rng = random.Random(402)
     a = random_complex(rng, m=2, max_dim=4)
     p = BinMatrix.zeros(3, 0)
-    cx = one_complex_product(a, p)
+    cx = tensor_product(a, one_complex(p))
     for j in range(cx.m + 1):
         assert cx.dim(j) == (a.dim(j) * 3 if j <= a.m else 0)
 
 
-def test_one_complex_product_matches_tensor_product():
-    rng = random.Random(403)
-    for _ in range(50):
-        a = random_complex(rng, m=rng.randint(1, 3), max_dim=5)
-        p = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        assert one_complex_product(a, p) == tensor_product(a, one_complex(p))
+@st.composite
+def complex_and_seed(draw):
+    """A random complex with m = 1..3 and a seed p of any shape up to 4 x 5."""
+    a = random_complex(random.Random(draw(st.integers(0, 2 ** 32))),
+                       m=draw(st.integers(1, 3)), max_dim=4)
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    bits = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return a, BinMatrix(rows, cols, bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_and_seed())
+@example((one_complex(P2), BinMatrix(0, 3)))
+@example((one_complex(P2), BinMatrix(3, 0)))
+@example((one_complex(P2), BinMatrix(0, 0)))
+def test_one_complex_product_matches_tensor_product(case):
+    # The block form, set entry by entry, against the Kronecker construction.
+    a, p = case
+    assert tensor_product(a, one_complex(p)).boundaries == ref_one_complex_product(a, p)
 
 
 def test_predictions_match_construction():

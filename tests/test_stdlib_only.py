@@ -48,3 +48,17 @@ def test_module_imports_are_used():
         unused += [f"{path.name}:{line}: {name}"
                    for line, name in _module_imports(tree) if name not in used]
     assert not unused, unused
+
+
+# Public names deleted from the library; each must stay gone.
+REMOVED_NAMES = ("one_complex_product", "ProductLayout", "product_layout", "validate",
+                 "classical_distance", "KernelTooLarge", "puncture", "shorten_parity",
+                 "IndexOutOfRange")
+
+
+def test_public_names_resolve_once_and_removed_ones_stay_gone():
+    import homprod
+
+    assert [n for n in homprod.__all__ if not hasattr(homprod, n)] == []
+    assert len(set(homprod.__all__)) == len(homprod.__all__)
+    assert [n for n in REMOVED_NAMES if n in homprod.__all__ or hasattr(homprod, n)] == []
