@@ -34,22 +34,37 @@ class InconsistentWeights(ParseError):
 
 
 def dumps_alist(m: BinMatrix) -> str:
-    cols = m.transpose()
-    col_w = cols.row_weights()
+    """The alist text of ``m``, written in a single pass over its row words.
+
+    Each row's column indices are collected once, from the top bit down,
+    and the row's index is appended to each of those columns' lists, so
+    no transpose is built.  Indices are formatted through one table of
+    1-based index strings.
+    """
+    names = [str(k) for k in range(1, max(m.rows, m.cols) + 1)]
+    col_lists: list[list[str]] = [[] for _ in range(m.cols)]
+    row_lines = []
+    for name, b in zip(names, m.bits):
+        entries = []
+        while b:
+            j = b.bit_length() - 1
+            entries.append(j)
+            b ^= 1 << j
+        entries.reverse()
+        for j in entries:
+            col_lists[j].append(name)
+        row_lines.append(" ".join([names[j] for j in entries]))
+    col_w = [len(c) for c in col_lists]
     row_w = m.row_weights()
     lines = [
         f"{m.cols} {m.rows}",
         f"{max(col_w, default=0)} {max(row_w, default=0)}",
-        " ".join(str(w) for w in col_w),
-        " ".join(str(w) for w in row_w),
+        " ".join(map(str, col_w)),
+        " ".join(map(str, row_w)),
     ]
-    # Column adjacency lists (the rows of the transpose), then row lists.
-    for b in cols.bits + m.bits:
-        entries = []
-        while b:
-            entries.append(str((b & -b).bit_length()))
-            b &= b - 1
-        lines.append(" ".join(entries))
+    # Column adjacency lists, then row lists.
+    lines += [" ".join(c) for c in col_lists]
+    lines += row_lines
     return "\n".join(lines) + "\n"
 
 

@@ -55,7 +55,12 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
 
 
 def load_bundle(directory) -> Bundle:
-    """Read a bundle; the complex is checked on construction and against its manifest."""
+    """Read a bundle; the complex is checked on construction and against its manifest.
+
+    A manifest whose keys have the wrong type (``boundaries`` not a list of
+    ``m`` file names, ``provenance`` or its ``source`` not an object) raises
+    ``ParseError`` before any file is read.
+    """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     try:
@@ -63,10 +68,23 @@ def load_bundle(directory) -> Bundle:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"malformed manifest: {exc.msg}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(1, "manifest must be a JSON object")
     for key in ("m", "dims", "boundaries"):
         if key not in manifest:
             raise ParseError(1, f"manifest missing key {key!r}")
-    matrices = [read_alist(directory / name) for name in manifest["boundaries"]]
+    names = manifest["boundaries"]
+    if not (isinstance(names, list) and len(names) == manifest["m"]
+            and all(isinstance(name, str) for name in names)):
+        raise ParseError(1, f"manifest key 'boundaries' must be a list of "
+                            f"m={manifest['m']!r} file names, got {names!r}")
+    provenance = manifest.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ParseError(1, f"manifest key 'provenance' must be an object, got {provenance!r}")
+    if not isinstance(provenance.get("source", {}), dict):
+        raise ParseError(1, "manifest key 'source' of 'provenance' must be an object, "
+                            f"got {provenance['source']!r}")
+    matrices = [read_alist(directory / name) for name in names]
     cx = ChainComplex(matrices)
     if cx.m != manifest["m"] or list(cx.dims) != list(manifest["dims"]):
         raise DimensionMismatch(

@@ -9,6 +9,15 @@ One forward-elimination primitive, ``_forward``, does all elimination.
 Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
 that map directly, and one back-substitution pass over it gives the
 reduced echelon form (RREF) behind the row, column and kernel bases.
+
+Loops over the set bits of a row word take them from the top where the
+visit order does not matter: ``j = b.bit_length() - 1``, then
+``b ^= 1 << j``.  ``bit_length`` is O(1) and clearing the top bit shrinks
+the int, while the lowest-bit idiom (``b & -b``, ``b &= b - 1``) copies
+the full width of the word at every step, which is the whole cost on a
+wide sparse row.  ``_forward`` and the ``EchelonBasis`` invariant keep
+lowest-bit pivots: the bases, witnesses and search counts downstream
+depend on that choice, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,9 +64,8 @@ class BinMatrix:
             bits = tuple(bits)
         if len(bits) != rows:
             raise DimensionMismatch(f"expected {rows} row words, got {len(bits)}")
-        mask = (1 << cols) - 1
         for b in bits:
-            if b < 0 or b & ~mask:
+            if b < 0 or b.bit_length() > cols:
                 raise ValueError("row word has bits set beyond the column count")
         self._nrows = rows
         self._ncols = cols
@@ -128,10 +136,11 @@ class BinMatrix:
     def transpose(self) -> "BinMatrix":
         cols = [0] * self._ncols
         for i, b in enumerate(self._bits):
+            bit = 1 << i
             while b:
-                j = (b & -b).bit_length() - 1
-                cols[j] |= 1 << i
-                b &= b - 1
+                j = b.bit_length() - 1
+                cols[j] |= bit
+                b ^= 1 << j
         return BinMatrix(self._ncols, self._nrows, cols)
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
@@ -146,9 +155,9 @@ class BinMatrix:
         for b in self._bits:
             acc = 0
             while b:
-                j = (b & -b).bit_length() - 1
+                j = b.bit_length() - 1
                 acc ^= obits[j]
-                b &= b - 1
+                b ^= 1 << j
             out.append(acc)
         return BinMatrix(self._nrows, other._ncols, out)
 
@@ -168,9 +177,9 @@ class BinMatrix:
         w = [0] * self._ncols
         for b in self._bits:
             while b:
-                j = (b & -b).bit_length() - 1
+                j = b.bit_length() - 1
                 w[j] += 1
-                b &= b - 1
+                b ^= 1 << j
         return w
 
     def to_lists(self) -> list[list[int]]:
@@ -232,9 +241,9 @@ def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
             acc = 0
             x = abits
             while x:
-                j = (x & -x).bit_length() - 1
+                j = x.bit_length() - 1
                 acc |= bbits << (j * bc)
-                x &= x - 1
+                x ^= 1 << j
             out.append(acc)
     return BinMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
@@ -258,8 +267,9 @@ def _reduce(x: int, by_pivot: dict[int, int], pivot_mask: int) -> int:
     """Reduce ``x`` by RREF rows: each row clears its own pivot bit and no other."""
     hit = x & pivot_mask
     while hit:
-        x ^= by_pivot[(hit & -hit).bit_length() - 1]
-        hit &= hit - 1
+        p = hit.bit_length() - 1
+        x ^= by_pivot[p]
+        hit ^= 1 << p
     return x
 
 
@@ -349,10 +359,12 @@ def kernel_basis(m: BinMatrix) -> EchelonBasis:
     # Free column f of the RREF row with pivot p puts p into f's vector.
     for p, r in zip(rref.pivot_cols, rref.bits):
         del free[p]
-        r ^= 1 << p
+        bit = 1 << p
+        r ^= bit
         while r:
-            free[(r & -r).bit_length() - 1] |= 1 << p
-            r &= r - 1
+            f = r.bit_length() - 1
+            free[f] |= bit
+            r ^= 1 << f
     return EchelonBasis.from_rows(m.cols, free.values())
 
 

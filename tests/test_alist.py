@@ -115,10 +115,15 @@ def _naive_alist(rows: list[list[int]], ncols: int) -> str:
 def test_dumps_matches_naive_writer():
     rng = random.Random(602)
     shapes = [(0, 0), (0, 4), (3, 0), (1, 1)] + \
-        [(rng.randint(0, 12), rng.randint(0, 20)) for _ in range(40)]
+        [(rng.randint(0, 12), rng.randint(0, 20)) for _ in range(40)] + \
+        [(9, 3000), (300, 1000)]  # wide sparse: at most 12 ones a row
     for r, c in shapes:
         density = rng.random()
-        rows = [[int(rng.random() < density) for _ in range(c)] for _ in range(r)]
+        if c >= 1000:
+            ones = [set(rng.sample(range(c), rng.randint(0, 12))) for _ in range(r)]
+            rows = [[int(j in row) for j in range(c)] for row in ones]
+        else:
+            rows = [[int(rng.random() < density) for _ in range(c)] for _ in range(r)]
         m = BinMatrix(r, c, [sum(bit << j for j, bit in enumerate(row)) for row in rows])
         assert dumps_alist(m) == _naive_alist(rows, c)
 

@@ -124,6 +124,44 @@ def test_manifest_dims_mismatch(toric_bundle, capsys):
     assert code == 2
 
 
+def _set_manifest(bundle, key, value):
+    """Rewrite one top-level manifest field of a bundle."""
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = value
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("boundaries", ["A1.alist", ["A1.alist"], ["A1.alist", 2],
+                                        {"A1.alist": "A2.alist"}, None])
+def test_manifest_boundaries_must_list_m_file_names(toric_bundle, capsys, boundaries):
+    _set_manifest(toric_bundle, "boundaries", boundaries)
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "manifest key 'boundaries'" in err
+
+
+def test_manifest_must_be_an_object(toric_bundle, capsys):
+    (toric_bundle / "manifest.json").write_text(json.dumps(["m", "dims", "boundaries"]))
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "manifest must be a JSON object" in err
+
+
+@pytest.mark.parametrize("provenance, key", [(["x"], "provenance"), ("x", "provenance"),
+                                             ({"source": ["x"]}, "source"),
+                                             ({"source": None}, "source")])
+def test_manifest_provenance_and_source_must_be_objects(toric_bundle, capsys, provenance, key):
+    _set_manifest(toric_bundle, "provenance", provenance)
+    for command in ("verify", "analyze"):
+        code, out, err = run(capsys, command, str(toric_bundle))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and f"manifest key {key!r}" in err
+
+
 def test_garbage_alist_gives_io_exit(tmp_path, capsys):
     bad = tmp_path / "bad.alist"
     bad.write_text("not an alist\n")

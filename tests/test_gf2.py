@@ -21,6 +21,7 @@ from homprod import (
 from helpers import (
     _kernel_of_columns,
     columns_as_masks,
+    mat_columns,
     random_matrix,
     ref_echelon,
     ref_rank,
@@ -196,6 +197,14 @@ def test_rank_agrees_with_reference():
 def test_padding_bits_rejected():
     with pytest.raises(ValueError):
         BinMatrix(1, 2, [0b100])
+    # The edges of the check: the top column is accepted, the bit after it
+    # is not; negative words are rejected; a 0-column row holds only 0.
+    assert BinMatrix(1, 64, [1 << 63])[0, 63] == 1
+    assert BinMatrix(1, 0, [0]).shape == (1, 0)
+    for cols, word in [(64, 1 << 64), (3000, 1 << 3000), (3000, (1 << 3001) - 1),
+                       (5, -1), (3000, -(1 << 2999)), (0, 1)]:
+        with pytest.raises(ValueError, match="beyond the column count"):
+            BinMatrix(1, cols, [word])
 
 
 def test_transpose_involution():
@@ -332,3 +341,56 @@ def test_property_echelon_basis_membership(m, xs):
         assert (x in basis) == (ref_reduce(ref, x) == 0)
     for b in m.bits:
         assert b in basis
+
+
+@st.composite
+def wide_sparse(draw):
+    """Up to 8 rows of at most 12 ones over 1,000-4,000 columns: words of many
+    digits with only a few set bits, the shape of a higher-dimensional boundary."""
+    ncols = draw(st.integers(1000, 4000))
+    bits = []
+    for _ in range(draw(st.integers(0, 8))):
+        bits.append(sum(1 << j for j in draw(st.sets(st.integers(0, ncols - 1), max_size=12))))
+    return BinMatrix(len(bits), ncols, bits)
+
+
+def _ones(word: int, width: int) -> list[int]:
+    """Set positions of a word, found one entry at a time."""
+    return [j for j in range(width) if (word >> j) & 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_sparse(), matrices(max_dim=3), st.integers(0, 2**32))
+@example(BinMatrix(0, 1000), BinMatrix(0, 0), 0)
+@example(BinMatrix(2, 1000, [1 << 999 | 1, 1 << 500]), BinMatrix.identity(2), 1)
+def test_property_wide_sparse_products(m, s, seed):
+    assert list(m.transpose().bits) == mat_columns(m)
+    ones = [_ones(m.row_bits(i), m.cols) for i in range(m.rows)]
+    weights = [0] * m.cols
+    for row in ones:
+        for j in row:
+            weights[j] += 1
+    assert m.col_weights() == weights
+
+    # m @ b for a wide sparse b with one row per column of m; row i of the
+    # product is the XOR of the rows of b that row i of m selects.
+    rng = random.Random(seed)
+    ncols = rng.randint(1000, 4000)
+    b_rows = [0] * m.cols
+    for j in range(m.cols):
+        for _ in range(rng.randint(0, 12)):
+            b_rows[j] |= 1 << rng.randrange(ncols)
+    expected = []
+    for row in ones:
+        acc = 0
+        for j in row:
+            acc ^= b_rows[j]
+        expected.append(acc)
+    assert list((m @ BinMatrix(m.cols, ncols, b_rows)).bits) == expected
+
+    # kron in both orders: entry ((i, k), (j, l)) is m[i, j] * s[k, l].
+    s_ones = [_ones(s.row_bits(k), s.cols) for k in range(s.rows)]
+    m_by_s = [sum(1 << (j * s.cols + l) for j in mi for l in sk) for mi in ones for sk in s_ones]
+    assert list(kron(m, s).bits) == m_by_s
+    s_by_m = [sum(1 << (l * m.cols + j) for l in sk for j in mi) for sk in s_ones for mi in ones]
+    assert list(kron(s, m).bits) == s_by_m
