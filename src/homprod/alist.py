@@ -72,7 +72,7 @@ def _ints(lines: list[str], lineno: int) -> list[int]:
     if lineno - 1 >= len(lines):
         raise ParseError(lineno, "unexpected end of file")
     try:
-        return [int(tok) for tok in lines[lineno - 1].split()]
+        return list(map(int, lines[lineno - 1].split()))
     except ValueError:
         raise ParseError(lineno, f"non-integer token in {lines[lineno - 1]!r}") from None
 
@@ -95,7 +95,11 @@ def loads_alist(text: str) -> BinMatrix:
     if maxes != [max(col_w, default=0), max(row_w, default=0)]:
         raise InconsistentWeights(2, "declared maxima do not match the weight lists")
 
-    bits = [0] * rows
+    # Column lists are read into per-row index lists (increasing column
+    # order, one append per entry).  Each row line is checked against its
+    # list as read, and sorted only when that fails; the row words are
+    # built once at the end.
+    row_cols: list[list[int]] = [[] for _ in range(rows)]
     for j in range(cols):
         lineno = 5 + j
         entries = [e for e in _ints(lines, lineno) if e != 0]
@@ -105,22 +109,34 @@ def loads_alist(text: str) -> BinMatrix:
         for e in entries:
             if not 1 <= e <= rows:
                 raise ParseError(lineno, f"row index {e} outside 1..{rows}")
-            if (bits[e - 1] >> j) & 1:
+            listed = row_cols[e - 1]
+            if listed and listed[-1] == j:
                 raise InconsistentWeights(lineno, f"duplicate entry {e} in column {j}")
-            bits[e - 1] |= 1 << j
+            listed.append(j)
     for i in range(rows):
         lineno = 5 + cols + i
         entries = [e for e in _ints(lines, lineno) if e != 0]
         if len(entries) != row_w[i]:
             raise InconsistentWeights(
                 lineno, f"row {i} lists {len(entries)} entries, weight says {row_w[i]}")
-        mask = 0
+        listed = [e - 1 for e in entries]
+        if listed == row_cols[i]:
+            continue
         for e in entries:
             if not 1 <= e <= cols:
                 raise ParseError(lineno, f"column index {e} outside 1..{cols}")
-            mask |= 1 << (e - 1)
-        if mask != bits[i]:
+        listed.sort()
+        if listed != row_cols[i]:
+            if sorted(set(listed)) == row_cols[i]:
+                e = next(e for e, f in zip(listed, listed[1:]) if e == f)
+                raise InconsistentWeights(lineno, f"duplicate entry {e + 1} in row {i}")
             raise InconsistentWeights(lineno, f"row {i} adjacency disagrees with columns")
+    bits = []
+    for listed in row_cols:
+        b = 0
+        for j in listed:
+            b |= 1 << j
+        bits.append(b)
     for extra in range(4 + cols + rows, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "trailing non-blank line")

@@ -5,11 +5,18 @@ A complex of length m is an ordered list of boundary matrices
 product ``A_j @ A_{j+1}`` zero.  Levels run 0..m; the trivial boundary
 operators at the two ends are materialized as empty matrices so that rank
 and homology formulas need no branches.
+
+Boundary ranks are eliminated on first request and cached.  A complex
+built by ``tensor_product`` instead carries the complexes it is the
+product of; by the Künneth theorem over GF(2) its homology ranks are the
+convolution of theirs, and the first rank request fills every boundary
+rank from them, with no elimination of its own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
 
 from .gf2 import BinMatrix, DimensionMismatch, rank
 
@@ -26,10 +33,19 @@ class LevelOutOfRange(IndexError):
     """Requested level is outside 0..m."""
 
 
+def _convolve(k_a: Sequence[int], k_b: Sequence[int]) -> tuple[int, ...]:
+    """Künneth over GF(2): level l of a product has rank sum of k_i(a) * k_{l-i}(b)."""
+    out = [0] * (len(k_a) + len(k_b) - 1)
+    for i, x in enumerate(k_a):
+        for j, y in enumerate(k_b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 class ChainComplex:
     """Validated chain complex; immutable after construction."""
 
-    __slots__ = ("_boundaries", "_dims", "_ranks")
+    __slots__ = ("_boundaries", "_dims", "_ranks", "_factors")
 
     def __init__(self, boundaries: Sequence[BinMatrix]):
         boundaries = tuple(boundaries)
@@ -46,6 +62,9 @@ class ChainComplex:
         self._boundaries = boundaries
         self._dims = (boundaries[0].rows,) + tuple(b.cols for b in boundaries)
         self._ranks: dict[int, int] = {}
+        # Complexes, none of them waiting on factors of its own, whose
+        # homology ranks convolve to this one's; None: eliminate.
+        self._factors: tuple[ChainComplex, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -84,11 +103,40 @@ class ChainComplex:
         if j == 0 or j == self.m + 1:
             return 0
         if j not in self._ranks:
-            self._ranks[j] = rank(self.boundary(j))
+            if self._factors is not None:
+                self._fill_ranks(reduce(_convolve, (f.homology_ranks() for f in self._factors)))
+            else:
+                self._ranks[j] = rank(self.boundary(j))
         return self._ranks[j]
 
+    def _fill_ranks(self, homology: Sequence[int]) -> None:
+        """Every boundary rank from the homology ranks: r_{j+1} = n_j - k_j - r_j, r_0 = 0.
+
+        The recursion must end at r_{m+1} = 0 with no rank outside
+        0..min(rows, cols); anything else raises ``AssertionError``.
+        """
+        ranks = {}
+        r = 0
+        for j, k in enumerate(homology):
+            r = self._dims[j] - k - r
+            if j < self.m:
+                bound = self._boundaries[j]
+                if not 0 <= r <= min(bound.rows, bound.cols):
+                    raise AssertionError(f"homology ranks give rank A_{j + 1} = {r}, "
+                                         f"impossible for a {bound.rows}x{bound.cols} matrix")
+                ranks[j + 1] = r
+        if r != 0:
+            raise AssertionError(f"homology ranks {tuple(homology)} do not fit dims {self._dims}")
+        self._ranks.update(ranks)
+        self._factors = None
+
     def homology_rank(self, j: int) -> int:
-        """Rank ``k_j = n_j - rank A_j - rank A_{j+1}`` of the level-j homology group."""
+        """Rank ``k_j = n_j - rank A_j - rank A_{j+1}`` of the level-j homology group.
+
+        Boundary ranks are eliminated once and cached, except in a complex
+        built by ``tensor_product``: there they follow from the Künneth
+        ranks of the factors, and only the factors are eliminated.
+        """
         if not 0 <= j <= self.m:
             raise LevelOutOfRange(f"level {j} outside 0..{self.m}")
         return self._dims[j] - self.boundary_rank(j) - self.boundary_rank(j + 1)
@@ -97,8 +145,14 @@ class ChainComplex:
         return tuple(self.homology_rank(j) for j in range(self.m + 1))
 
     def cochain(self) -> "ChainComplex":
-        """Transposed boundaries in reverse order; level j maps to level m - j."""
-        return ChainComplex(tuple(b.transpose() for b in reversed(self._boundaries)))
+        """Transposed boundaries in reverse order; level j maps to level m - j.
+
+        Boundary ranks already known are copied (rank A^T = rank A), so the
+        cochain eliminates nothing this complex has eliminated.
+        """
+        co = ChainComplex(tuple(b.transpose() for b in reversed(self._boundaries)))
+        co._ranks = {self.m + 1 - j: r for j, r in self._ranks.items()}
+        return co
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainComplex):

@@ -7,8 +7,20 @@ role over GF(2) and are dropped throughout.  ``tensor_product`` is the one
 construction: the paper's complexes, each the previous one times a
 two-space complex K(p), are ``tensor_product(a, one_complex(p))``.
 
+Each product boundary is assembled in one pass: every row word is the
+spread row of a factor boundary of a plus a shifted row of a factor
+boundary of b, written straight into the result with no Kronecker or
+stacking intermediates.
+
 The formulas are arithmetic over factor data (dimensions, homology ranks,
-per-level distances); none of them searches for a distance itself.
+per-level distances); none of them searches for a distance itself.  Over
+GF(2) the Künneth theorem makes the product's homology ranks the
+convolution of the factors' ranks.  A complex built here carries its
+factors and fills its boundary ranks from that convolution on the first
+rank request, so only the factors are ever eliminated; a complex built any
+other way (``ChainComplex(...)``, a loaded bundle) eliminates its own
+boundaries, which keeps ``kunneth_ranks`` an independent prediction for
+it.
 """
 
 from __future__ import annotations
@@ -16,9 +28,9 @@ from __future__ import annotations
 from functools import reduce
 from collections.abc import Sequence
 
-from .complexes import ChainComplex, one_complex
+from .complexes import ChainComplex, _convolve, one_complex
 from .extnat import ExtNat, INFINITY, as_extnat, min_or_infinity
-from .gf2 import BinMatrix, hstack, kron, vstack
+from .gf2 import BinMatrix
 
 
 class InvalidExponents(ValueError):
@@ -42,34 +54,61 @@ def kunneth_ranks(a: ChainComplex, b: ChainComplex, level: int) -> int:
     """Homology rank of the product: sum of k_i(a) * k_{level-i}(b)."""
     if not 0 <= level <= a.m + b.m:
         return 0
-    return sum(a.homology_rank(i) * b.homology_rank(j)
-               for i, j in _block_indices(a, b, level))
+    return _convolve(a.homology_ranks(), b.homology_ranks())[level]
+
+
+def _spread(word: int, stride: int) -> int:
+    """``word`` with bit c moved to bit c * stride."""
+    out = 0
+    while word:
+        c = word.bit_length() - 1
+        out |= 1 << (c * stride)
+        word ^= 1 << c
+    return out
+
+
+def _product_boundary(a: ChainComplex, b: ChainComplex, level: int) -> BinMatrix:
+    """Boundary ``level`` of the product, each row word written in one pass.
+
+    Row (ra, rb) of row block (i, j) meets two column blocks: in (i+1, j)
+    it is row ra of A_{i+1} (x) E, so bit c of that row lands at
+    c * n_j(b) + rb; in (i, j+1) it is row rb of E (x) B_{j+1}, shifted
+    by ra * n_{j+1}(b).  All other blocks of the row are zero.  Past the
+    top of a factor, its boundary is the trivial operator, whose words
+    are all zero, so the missing block's offset does not matter.
+    """
+    offsets = {}
+    width = 0
+    for i, j in _block_indices(a, b, level):
+        offsets[i] = width
+        width += a.dim(i) * b.dim(j)
+    rows = []
+    for i, j in _block_indices(a, b, level - 1):
+        left, right = a.boundary(i + 1), b.boundary(j + 1)
+        to_left = offsets.get(i + 1, 0)
+        right_words = [word << offsets.get(i, 0) for word in right.bits]
+        for ra, word in enumerate(left.bits):
+            spread = _spread(word, b.dim(j)) << to_left
+            shift = ra * right.cols
+            rows.extend((spread << rb) | (w << shift) for rb, w in enumerate(right_words))
+    return BinMatrix(len(rows), width, rows)
 
 
 def tensor_product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Product complex of length ``a.m + b.m``.
 
     The boundary acts block-wise as (boundary of a) (x) identity plus
-    identity (x) (boundary of b); the result always validates.
+    identity (x) (boundary of b); the result always validates.  Its
+    homology ranks are the Künneth convolution of the factors' ranks, and
+    its boundary ranks follow from them, filled on the first rank request,
+    so no product boundary is ever eliminated: only the complexes at the
+    bottom of a fold of products are.
     """
-    boundaries = []
-    for level in range(1, a.m + b.m + 1):
-        col_blocks = _block_indices(a, b, level)
-        row_blocks = _block_indices(a, b, level - 1)
-        rows = []
-        for i2, j2 in row_blocks:
-            height = a.dim(i2) * b.dim(j2)
-            strip = []
-            for i, j in col_blocks:
-                if i == i2 + 1:
-                    strip.append(kron(a.boundary(i), BinMatrix.identity(b.dim(j))))
-                elif i == i2:
-                    strip.append(kron(BinMatrix.identity(a.dim(i)), b.boundary(j2 + 1)))
-                else:
-                    strip.append(BinMatrix.zeros(height, a.dim(i) * b.dim(j)))
-            rows.append(hstack(strip))
-        boundaries.append(vstack(rows))
-    return ChainComplex(boundaries)
+    cx = ChainComplex([_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1)])
+    # A factor still waiting for its ranks passes on its own factors: the
+    # convolution is associative, and the fill then never recurses.
+    cx._factors = (a._factors or (a,)) + (b._factors or (b,))
+    return cx
 
 
 def power_complex(p: BinMatrix, a: int, b: int) -> ChainComplex:

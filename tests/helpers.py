@@ -154,6 +154,51 @@ def ref_one_complex_product(a: ChainComplex, p: BinMatrix):
     return tuple(boundaries)
 
 
+def ref_tensor_product(a: ChainComplex, b: ChainComplex):
+    """Boundaries of the product of any two complexes, set entry by entry.
+
+    Level l is the direct sum of the spaces (i, l - i), in increasing i;
+    coordinate (x, y) of space (i, j) has index x * n_j(b) + y within it.
+    The boundary sends (x, y) to (A_i x, y) + (x, B_j y).
+    """
+    na, nb = a.dims, b.dims
+    total = a.m + b.m
+
+    def offsets(level):
+        """Start index of each space (i, level - i) in level ``level``."""
+        out, start = {}, 0
+        for i in range(level + 1):
+            if i <= a.m and level - i <= b.m:
+                out[i] = start
+                start += na[i] * nb[level - i]
+        return out, start
+
+    boundaries = []
+    for level in range(1, total + 1):
+        col_off, width = offsets(level)
+        row_off, height = offsets(level - 1)
+        rows = [0] * height
+        for i, start in col_off.items():
+            j = level - i
+            if i >= 1:
+                for r, x in _entries(a.boundary(i)):
+                    for y in range(nb[j]):
+                        rows[row_off[i - 1] + r * nb[j] + y] |= 1 << (start + x * nb[j] + y)
+            if j >= 1:
+                for r, y in _entries(b.boundary(j)):
+                    for x in range(na[i]):
+                        rows[row_off[i] + x * nb[j - 1] + r] |= 1 << (start + x * nb[j] + y)
+        boundaries.append(BinMatrix(height, width, rows))
+    return tuple(boundaries)
+
+
+def ref_homology_ranks(boundaries):
+    """k_j = n_j - rank A_j - rank A_{j+1}, every rank from ``ref_rank``."""
+    ranks = [0] + [ref_rank(list(m.bits)) for m in boundaries] + [0]
+    dims = [boundaries[0].rows] + [m.cols for m in boundaries]
+    return tuple(n - ranks[j] - ranks[j + 1] for j, n in enumerate(dims))
+
+
 def _entries(m: BinMatrix):
     """(row, column) of every set entry."""
     return [(i, j) for i in range(m.rows) for j in range(m.cols) if (m.row_bits(i) >> j) & 1]
@@ -210,21 +255,23 @@ def random_rank_deficient(rng: random.Random, rows, cols, density=0.5):
             return m
 
 
-def random_complex(rng: random.Random, m=2, max_dim=8, density=0.5) -> ChainComplex:
+def random_complex(rng: random.Random, m=2, max_dim=8, density=0.5,
+                   min_dim=1) -> ChainComplex:
     """Random valid complex built by chaining kernels from right to left.
 
     Picks A_m at random, then repeatedly draws rows from the left-kernel of
-    the previous matrix, so consecutive products always vanish.
+    the previous matrix, so consecutive products always vanish.  Level
+    dimensions are drawn from ``min_dim..max_dim``.
     """
-    n_right = rng.randint(1, max_dim)
-    n_left = rng.randint(1, max_dim)
+    n_right = rng.randint(min_dim, max_dim)
+    n_left = rng.randint(min_dim, max_dim)
     boundaries = [random_matrix(rng, n_left, n_right, density)]
     for _ in range(m - 1):
         right = boundaries[0]
         # Rows orthogonal to all columns of `right` form the span of this basis.
         kernel_rows, _ = ref_echelon(
             _kernel_of_columns(list(right.bits), right.rows))
-        n_new = rng.randint(1, max_dim)
+        n_new = rng.randint(min_dim, max_dim)
         bits = []
         for _ in range(n_new):
             b = 0

@@ -86,6 +86,22 @@ def test_inconsistent_weights():
         loads_alist(bad)
 
 
+def test_duplicate_row_entry():
+    # Row 0 lists column 1 twice: its declared weight 2 matches the list
+    # length but not the one entry the columns give it.
+    with pytest.raises(InconsistentWeights) as err:
+        loads_alist("2 1\n1 2\n1 0\n2\n1\n\n1 1\n")
+    assert err.value.line == 7
+    assert "duplicate entry 1 in row 0" in str(err.value)
+    # A row that lists its columns out of order is fine.
+    assert loads_alist("2 1\n1 2\n1 1\n2\n1\n1\n2 1\n") == BinMatrix.from_string("11")
+    # A duplicate in a column is reported at the column's line.
+    with pytest.raises(InconsistentWeights) as err:
+        loads_alist("1 2\n2 1\n2\n1 1\n1 1\n1\n1\n")
+    assert err.value.line == 5
+    assert "duplicate entry 1 in column 0" in str(err.value)
+
+
 def test_out_of_range_index():
     bad = "2 1\n1 2\n1 1\n2\n1\n5\n1 2\n"
     with pytest.raises(ParseError):

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
 
+import homprod
 from homprod import (
     BinMatrix,
     CssCode,
     complexes,
     css_parameters,
     distance,
+    gf2,
     read_alist,
     write_alist,
 )
@@ -326,6 +332,39 @@ def test_distance_takes_k_from_the_engine_kernels(toric_bundle, capsys, monkeypa
     assert code == 0
     assert [e["k"] for e in parse_report(out)["levels"]] == [1, 2, 1]
     assert counted.call_count == 0
+
+
+def test_power_makes_no_rank_calls(tmp_path, capsys, monkeypatch):
+    counted = Mock(wraps=gf2.rank)
+    monkeypatch.setattr(gf2, "rank", counted)
+    monkeypatch.setattr(complexes, "rank", counted)
+    code, _, _ = run(capsys, "power", "--ensemble", "gallager:3,6,12", "--seed", "1",
+                     "--a", "1", "--b", "1", "--out", str(tmp_path / "qhp"))
+    assert code == 0
+    assert counted.call_count == 0
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m homprod`` runs the same commands as ``main``.
+    env = dict(os.environ)
+    src = str(Path(homprod.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    commands = [
+        ["power", "--ensemble", "rep:3", "--a", "1", "--b", "1", "--out", "toric"],
+        ["analyze", "toric"],
+        ["distance", "toric"],
+        ["verify", "toric"],
+        ["export-css", "toric", "--level", "1", "--out", "css"],
+    ]
+    outputs = {}
+    for args in commands:
+        done = subprocess.run([sys.executable, "-m", "homprod", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (args, done.stderr)
+        outputs[args[0]] = done.stdout
+    assert parse_report(outputs["analyze"])["dims"] == [9, 18, 9]
+    assert "violations=0" in outputs["verify"]
+    assert sorted(os.listdir(tmp_path / "css")) == ["css.json", "gx.alist", "gz.alist"]
 
 
 def test_verify_one_complex_factor_calls_engine_once_per_level(tmp_path, capsys, monkeypatch):

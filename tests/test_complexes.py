@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest.mock import Mock
 
 import pytest
 
@@ -15,6 +16,7 @@ from homprod import (
     LevelOutOfRange,
     NotOrthogonal,
     min_or_infinity,
+    complexes,
     one_complex,
 )
 from helpers import random_complex, ref_rank
@@ -72,13 +74,22 @@ def test_cochain_of_one_complex_transposes():
     assert one_complex(p).cochain() == one_complex(p.transpose())
 
 
-def test_cochain_preserves_ranks():
+def test_cochain_preserves_ranks(monkeypatch):
     rng = random.Random(201)
     for _ in range(15):
         cx = random_complex(rng, m=rng.randint(1, 3), max_dim=6)
         co = cx.cochain()
         for j in range(cx.m + 1):
             assert co.homology_rank(cx.m - j) == cx.homology_rank(j)
+    # Ranks the complex already has are copied, not eliminated again.
+    counted = Mock(wraps=complexes.rank)
+    monkeypatch.setattr(complexes, "rank", counted)
+    for _ in range(15):
+        cx = random_complex(rng, m=rng.randint(1, 3), max_dim=6)
+        ranks = cx.homology_ranks()
+        calls = counted.call_count
+        assert cx.cochain().homology_ranks() == ranks[::-1]
+        assert counted.call_count == calls
 
 
 def test_euler_telescoping():

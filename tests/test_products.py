@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from homprod import (
     BinMatrix,
+    ChainComplex,
     ExtNat,
     INFINITY,
     InvalidExponents,
@@ -22,12 +25,17 @@ from homprod import (
     sparsity,
     tensor_product,
 )
+from homprod import complexes, gf2
+from homprod.bundle import load_bundle, save_bundle
 from helpers import (
     naive_level_distance,
     random_complex,
     random_matrix,
     random_sparse,
+    ref_homology_ranks,
     ref_one_complex_product,
+    ref_rank,
+    ref_tensor_product,
 )
 
 P2 = BinMatrix.from_string("11")
@@ -104,6 +112,113 @@ def test_one_complex_product_matches_tensor_product(case):
     # The block form, set entry by entry, against the Kronecker construction.
     a, p = case
     assert tensor_product(a, one_complex(p)).boundaries == ref_one_complex_product(a, p)
+
+
+@st.composite
+def complex_pair(draw):
+    """Complexes a (m = 1..3) and b (m = 1..2) whose levels may be zero-dimensional."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = random_complex(rng, m=draw(st.integers(1, 3)), max_dim=4, min_dim=0)
+    b = random_complex(rng, m=draw(st.integers(1, 2)), max_dim=4, min_dim=0)
+    return a, b
+
+
+ZERO_LEVEL = ChainComplex([BinMatrix.zeros(2, 0), BinMatrix.zeros(0, 3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(complex_pair())
+@example((ZERO_LEVEL, ZERO_LEVEL))
+@example((one_complex(BinMatrix(0, 0)), one_complex(P2)))
+@example((one_complex(P2), ChainComplex([P2, BinMatrix.zeros(2, 0)])))
+def test_tensor_product_matches_entrywise_reference(case):
+    a, b = case
+    assert tensor_product(a, b).boundaries == ref_tensor_product(a, b)
+
+
+@st.composite
+def factor_pair(draw):
+    """A random complex a and a factor b that is K(p) or has m = 2."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = random_complex(rng, m=draw(st.integers(1, 3)), max_dim=4, min_dim=0)
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+        b = one_complex(random_matrix(rng, rows, cols, draw(st.floats(0, 1))))
+    else:
+        b = random_complex(rng, m=2, max_dim=4, min_dim=0)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(factor_pair())
+@example((one_complex(P2), one_complex(P2.transpose())))
+@example((ZERO_LEVEL, one_complex(BinMatrix.identity(2))))
+def test_kunneth_ranks_match_elimination(case):
+    # The product takes its ranks from the factors; the reference eliminates
+    # the product's own boundaries.
+    a, b = case
+    cx = tensor_product(a, b)
+    assert cx.homology_ranks() == ref_homology_ranks(cx.boundaries)
+    assert [cx.boundary_rank(j) for j in range(1, cx.m + 1)] == \
+        [ref_rank(list(m.bits)) for m in cx.boundaries]
+
+
+def _counting_rank(monkeypatch):
+    counted = Mock(wraps=gf2.rank)
+    monkeypatch.setattr(complexes, "rank", counted)
+    return counted
+
+
+def test_power_eliminates_only_the_seed(monkeypatch):
+    p = BinMatrix.from_string("1100 0110 0011")
+    counted = _counting_rank(monkeypatch)
+    cx = power_complex(p, 2, 2)
+    assert counted.call_count == 0
+    assert cx.homology_ranks() == (0, 0, 1, 0, 0)
+    shapes = sorted(call.args[0].shape for call in counted.call_args_list)
+    assert shapes == [(3, 4), (4, 3)]
+    # The ranks are filled once; asking again eliminates nothing.
+    assert [cx.boundary_rank(j) for j in range(1, 5)] == \
+        [ref_rank(list(m.bits)) for m in cx.boundaries]
+    assert counted.call_count == 2
+
+
+def test_deep_fold_fills_its_ranks_in_one_step():
+    # K(p) for a 0 x 1 seed has dims (0, 1); a 300-fold power has one
+    # nonzero space, at the top.  Its ranks come from the 300 leaf factors
+    # at once, not through a chain of nested products.
+    cx = power_complex(BinMatrix(0, 1), 300, 0)
+    assert cx.homology_ranks() == (0,) * 300 + (1,)
+
+
+def test_product_pickles_before_and_after_its_ranks():
+    cx = power_complex(BinMatrix.from_string("110 011"), 1, 1)
+    copy = pickle.loads(pickle.dumps(cx))
+    assert copy == cx
+    assert copy.homology_ranks() == cx.homology_ranks() == (0, 1, 0)
+    assert pickle.loads(pickle.dumps(cx)).homology_ranks() == (0, 1, 0)
+
+
+def test_loaded_product_still_eliminates(tmp_path, monkeypatch):
+    cx = power_complex(BinMatrix.from_string("110 011"), 1, 1)
+    save_bundle(cx, tmp_path)
+    counted = _counting_rank(monkeypatch)
+    loaded = load_bundle(tmp_path).complex
+    assert loaded.homology_ranks() == (0, 1, 0)
+    # Each boundary of the loaded complex is eliminated.
+    assert [call.args[0] for call in counted.call_args_list] == list(cx.boundaries)
+
+
+def test_wrong_kunneth_ranks_raise():
+    cx = tensor_product(one_complex(P2), one_complex(P2.transpose()))
+    # Dims (2, 5, 2): true ranks (0, 1, 0).  One extra class breaks r_3 = 0;
+    # (0, 4, 3) ends at r_3 = 0 but gives rank A_2 = -1.
+    for wrong in [(0, 2, 0), (0, 4, 3)]:
+        with pytest.raises(AssertionError):
+            cx._fill_ranks(wrong)
+    # A failed fill leaves nothing behind.
+    assert cx.homology_ranks() == (0, 1, 0)
+    assert cx._factors is None
 
 
 def test_predictions_match_construction():
