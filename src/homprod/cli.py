@@ -38,14 +38,22 @@ _VALIDATION_ERRORS = (
 )
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _seed_matrix(args, parser):
@@ -124,7 +132,8 @@ def cmd_analyze(args, parser) -> int:
 def cmd_distance(args, parser) -> int:
     bundle = load_bundle(args.bundle)
     cx = bundle.complex
-    levels = args.level if args.level else list(range(cx.m + 1))
+    # Each requested level once, in first-seen order.
+    levels = list(dict.fromkeys(args.level)) if args.level else list(range(cx.m + 1))
     for j in levels:
         if not 0 <= j <= cx.m:
             raise LevelOutOfRange(f"level {j} outside 0..{cx.m}")
@@ -176,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_KERNEL_CAP,
+            p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_KERNEL_CAP,
                            help="kernel dimension cap for exact searches")
             p.add_argument("--threads", type=_positive_int, default=1,
                            help="parallel sub-searches for the distance walk")
@@ -214,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="exact distances and witnesses per level")
     p.add_argument("bundle")
     p.add_argument("--level", action="append", type=int,
-                   help="level to search; repeatable; default all")
+                   help="level to search; repeatable (a repeat is walked once); default all")
     add_common(p, cap=True, fmt=True)
     p.set_defaults(func=cmd_distance)
 

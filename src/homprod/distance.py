@@ -4,13 +4,15 @@ The homological distance at level j is the minimum Hamming weight over
 cycles (kernel vectors of A_j) that are not boundaries (outside the column
 span of A_{j+1}).  The engine walks the whole kernel with a Gray code, one
 basis flip per step, and tests boundary membership only for candidates
-that would improve the current minimum.  On levels narrower than 128 bits
-the walk first weighs each block of 2**10 consecutive steps at once, with
-SWAR arithmetic on one packed int, and steps through only the blocks
-holding a vector lighter than the current minimum; the skipped blocks
-hold no candidate, so the result, witness and step count are those of
-the plain walk.  Past the kernel cap it walks nothing and bounds the
-distance by the lightest nontrivial basis vector.
+that would improve the current minimum.  The steps go in blocks of 2**10,
+and a block is stepped through only when it may hold a vector lighter
+than the current minimum.  A block is ruled out when the bits on which
+all its vectors agree already reach that minimum (most blocks of a toric
+level); on levels narrower than 128 bits SWAR arithmetic on one packed
+int then weighs each remaining block's vectors at once.  A ruled-out
+block holds no candidate, so the result, witness and step count are
+those of the plain walk.  Past the kernel cap it walks nothing and
+bounds the distance by the lightest nontrivial basis vector.
 
 A classical code's distance under parity check p is level 1 of its
 two-space complex, ``homological_distance(one_complex(p), 1)``, with the
@@ -39,8 +41,10 @@ class DistanceResult:
     Past the cap, ``exact`` is false and the interval is [1, weight of the
     lightest kernel basis vector outside the image].  ``witness`` is an int
     bitset over the level space (None unless exact and finite);
-    ``enumerated`` counts kernel vectors visited, which is ``2**dim - 1``
-    for a full walk and 0 for the weight-1 fast path and past the cap.
+    ``enumerated`` counts the kernel vectors the walk covered, including
+    those in blocks ruled out by a weight bound without a step: ``2**dim -
+    1`` for a full walk, fewer after an early stop at ``lower_bound``, and
+    0 for the weight-1 fast path and past the cap.
     """
 
     value: ExtNat
@@ -74,14 +78,14 @@ class _PackedBlocks:
 
     Each of a block's 2**k vectors gets an s-bit field of one Python int:
     one of the 2**k combinations of the k low vectors (a fixed table) XOR
-    the block's fixed high part, kept replicated across all fields.  Each
-    block visits every combination once, in an order that differs between
+    the block's fixed vector, replicated across all fields.  Each block
+    visits every combination once, in an order that differs between
     blocks, but the filter asks only whether any of them is light, so one
     table in subset order serves every block.  A few big-int operations
     then give every field's weight at once.
     """
 
-    def __init__(self, low, high, start: int, field_bits: int):
+    def __init__(self, low, field_bits: int):
         # Double the table once per low vector: the new upper half is the
         # lower half with that vector added.  ``ones`` has a 1 in every field.
         table, ones = 0, 1
@@ -89,9 +93,7 @@ class _PackedBlocks:
             shift = field_bits << i
             table |= (table ^ b * ones) << shift
             ones |= ones << shift
-        self.table = table
-        self.high = [g * ones for g in high]
-        self.replicated = start * ones
+        self.table, self.ones = table, ones
         width = field_bits // 8
         every_byte = int.from_bytes(b"\1" * (width << len(low)), "little")
         self.m1, self.m2, self.m4 = 0x55 * every_byte, 0x33 * every_byte, 0x0F * every_byte
@@ -101,17 +103,16 @@ class _PackedBlocks:
         self.top_bit = 0x80 * self.top_byte
         self.threshold = None
 
-    def may_improve(self, block: int, threshold: int) -> bool:
-        """Move to ``block`` (from ``block - 1``); true when some field weighs under ``threshold``.
+    def may_improve(self, fixed: int, threshold: int) -> bool:
+        """True when some vector ``fixed`` XOR a low combination weighs under ``threshold``.
 
         Weights and ``threshold`` are at most 128 here, so adding 128 -
         threshold to a field's weight sets bit 7 of its top byte exactly
         when the weight reaches the threshold, with no carry between fields.
         """
-        self.replicated ^= self.high[(block & -block).bit_length() - 1]
         if threshold != self.threshold:
             self.threshold, self.offset = threshold, (0x80 - threshold) * self.top_byte
-        x = self.table ^ self.replicated
+        x = self.table ^ fixed * self.ones
         x -= (x >> 1) & self.m1
         x = (x & self.m2) + ((x >> 2) & self.m2)
         x = ((x + (x >> 4)) & self.m4) * self.byte_sum
@@ -125,13 +126,21 @@ def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
     XORed onto it, skipping the zero vector.  Returns (best, witness, count),
     with best and witness None when every visited vector is a boundary.
 
-    The steps go in blocks of 2**k, k = min(dim, _BLOCK_BITS).  On a level
-    of width n < _MAX_FIELD_BITS, a block other than the first is first
-    checked whole by ``_PackedBlocks``: when none of its vectors weighs
-    less than the current minimum, no step in it could pass the ``w <
-    best`` test, so it is skipped.  Every other block is walked step by
-    step, and a stop at ``stop_at`` happens at the same step as in a plain
-    walk, so (best, witness, count) do not depend on the blocks.
+    The steps go in blocks of 2**k, k = min(dim, _BLOCK_BITS): the k low
+    vectors run through all their combinations while the rest stay fixed.
+    A block other than the first is ruled out, with no step taken, when no
+    vector in it can weigh less than the current minimum, since then no
+    step could pass the ``w < best`` test.  Two checks do this, in order:
+
+    - the bits that no low vector has set are the same in every vector of
+      the block, so their weight bounds the whole block from below (in an
+      RREF kernel every high pivot is such a bit);
+    - on a level of width n < _MAX_FIELD_BITS, ``_PackedBlocks`` weighs all
+      the block's vectors at once.
+
+    Every other block is walked step by step, and a stop at ``stop_at``
+    happens at the same step as in a plain walk, so (best, witness, count)
+    do not depend on the blocks; ``count`` includes the ruled-out blocks.
     """
     # No combination outweighs the sum of the weights, so the first
     # nontrivial cycle always improves on this.
@@ -152,14 +161,20 @@ def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
     field_bits = max(8, 1 << n.bit_length())
     packed = None
     if high and field_bits <= _MAX_FIELD_BITS:
-        packed = _PackedBlocks(low, high, start, field_bits)
+        packed = _PackedBlocks(low, field_bits)
+    # The bits on which every vector of a block agrees.
+    mask = (1 << n) - 1
+    for b in low:
+        mask &= ~b
     x = start
     for block in range(1 << len(high)):
         base = block << k
         if block:
             g = high[(block & -block).bit_length() - 1]
-            if packed is not None and not packed.may_improve(block, min(best, n + 1)):
-                x ^= g ^ low[-1]
+            fixed = x ^ g
+            if ((fixed & mask).bit_count() >= best or packed is not None
+                    and not packed.may_improve(fixed, min(best, n + 1))):
+                x = fixed ^ low[-1]
                 continue
             steps = zip(range(base, base + size), chain((g,), flips))
         else:

@@ -241,6 +241,30 @@ def test_threads_below_one_rejected(toric_bundle, capsys, threads):
     assert "--threads: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["distance", "verify"])
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_negative_cap_rejected(toric_bundle, capsys, command, cap):
+    # A negative cap would skip every walk and report intervals, or no
+    # distance check at all, with a clean exit.
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(toric_bundle), "--cap", cap])
+    assert exc.value.code == 2
+    assert "--cap: must be at least 0" in capsys.readouterr().err
+
+
+def test_repeated_level_walked_once(toric_bundle, capsys, monkeypatch):
+    counted = Mock(wraps=distance._min_nontrivial)
+    monkeypatch.setattr(distance, "_min_nontrivial", counted)
+    code, out, _ = run(capsys, "distance", str(toric_bundle),
+                       "--level", "2", "--level", "1", "--level", "2")
+    assert code == 0
+    report = parse_report(out)
+    assert [e["j"] for e in report["levels"]] == [2, 1]
+    assert report["provenance"]["levels"] == [2, 1]
+    # Two sides per level.
+    assert counted.call_count == 4
+
+
 def test_gallager_build_reproducible(tmp_path, capsys):
     out1 = tmp_path / "g1"
     out2 = tmp_path / "g2"
@@ -355,16 +379,20 @@ def test_module_entry_point(tmp_path):
         ["distance", "toric"],
         ["verify", "toric"],
         ["export-css", "toric", "--level", "1", "--out", "css"],
+        ["power", "--ensemble", "rep:5", "--a", "1", "--b", "1", "--out", "toric5"],
+        ["distance", "toric5", "--level", "1"],
     ]
     outputs = {}
     for args in commands:
         done = subprocess.run([sys.executable, "-m", "homprod", *args], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (args, done.stderr)
-        outputs[args[0]] = done.stdout
-    assert parse_report(outputs["analyze"])["dims"] == [9, 18, 9]
-    assert "violations=0" in outputs["verify"]
+        outputs[args[0], args[1]] = done.stdout
+    assert parse_report(outputs["analyze", "toric"])["dims"] == [9, 18, 9]
+    assert "violations=0" in outputs["verify", "toric"]
     assert sorted(os.listdir(tmp_path / "css")) == ["css.json", "gx.alist", "gz.alist"]
+    (toric5,) = parse_report(outputs["distance", "toric5"])["levels"]
+    assert toric5["homology"]["d"] == toric5["cohomology"]["d"] == 5
 
 
 def test_verify_one_complex_factor_calls_engine_once_per_level(tmp_path, capsys, monkeypatch):

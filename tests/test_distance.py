@@ -28,7 +28,9 @@ from helpers import (
     naive_level_distance,
     random_complex,
     random_matrix,
+    ref_echelon,
     ref_gray_walk,
+    ref_reduce,
 )
 
 
@@ -331,26 +333,38 @@ def test_pool_size_is_bounded(monkeypatch, workers, cpus, pool_size):
 @given(width=st.integers(1, 140), dim=st.integers(0, 12), block_bits=st.sampled_from([2, 3, 10]),
        density=st.sampled_from([0.05, 0.2, 0.5]), images=st.integers(0, 4),
        offset=st.booleans(), stop=st.sampled_from([None, 1, 2, "d"]),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), rref=st.booleans())
 # Widths 127 and 128 sit on either side of the packing limit (fields of
 # at most 128 bits); dims 9, 10 and 11 fall below, at and above one
 # block of 2**10 steps.
-@example(width=127, dim=11, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1)
-@example(width=128, dim=11, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1)
-@example(width=36, dim=10, block_bits=10, density=0.2, images=1, offset=False, stop="d", seed=2)
-@example(width=100, dim=9, block_bits=10, density=0.05, images=3, offset=True, stop=2, seed=3)
-@example(width=60, dim=12, block_bits=3, density=0.05, images=2, offset=True, stop="d", seed=4)
-@example(width=300, dim=8, block_bits=2, density=0.02, images=1, offset=False, stop=1, seed=5)
-@example(width=7, dim=6, block_bits=2, density=0.5, images=4, offset=True, stop=None, seed=6)
-@example(width=20, dim=0, block_bits=10, density=0.2, images=0, offset=True, stop=None, seed=7)
+@example(width=127, dim=11, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1, rref=False)
+@example(width=128, dim=11, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1, rref=False)
+@example(width=36, dim=10, block_bits=10, density=0.2, images=1, offset=False, stop="d", seed=2, rref=False)
+@example(width=100, dim=9, block_bits=10, density=0.05, images=3, offset=True, stop=2, seed=3, rref=False)
+@example(width=60, dim=12, block_bits=3, density=0.05, images=2, offset=True, stop="d", seed=4, rref=False)
+@example(width=300, dim=8, block_bits=2, density=0.02, images=1, offset=False, stop=1, seed=5, rref=False)
+@example(width=7, dim=6, block_bits=2, density=0.5, images=4, offset=True, stop=None, seed=6, rref=False)
+@example(width=20, dim=0, block_bits=10, density=0.2, images=0, offset=True, stop=None, seed=7, rref=False)
 # These walk blocks after skipped ones, so a skip that loses track of the
 # current vector changes their result.
-@example(width=36, dim=12, block_bits=3, density=0.2, images=2, offset=True, stop=None, seed=2)
-@example(width=127, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop=2, seed=4)
-@example(width=7, dim=9, block_bits=2, density=0.05, images=0, offset=False, stop=None, seed=1)
-def test_walk_matches_reference_walk(width, dim, block_bits, density, images, offset, stop, seed):
+@example(width=36, dim=12, block_bits=3, density=0.2, images=2, offset=True, stop=None, seed=2, rref=False)
+@example(width=127, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop=2, seed=4, rref=False)
+@example(width=7, dim=9, block_bits=2, density=0.05, images=0, offset=False, stop=None, seed=1, rref=False)
+# RREF kernel bits, as the engine passes them: the weight of the bits no
+# low vector has set rules out whole blocks, here on both sides of the
+# packing limit (127, 128 and 200 bits) and with stops at the distance.
+@example(width=127, dim=12, block_bits=10, density=0.05, images=2, offset=False, stop=None, seed=1, rref=True)
+@example(width=127, dim=12, block_bits=10, density=0.05, images=2, offset=False, stop="d", seed=2, rref=True)
+@example(width=128, dim=12, block_bits=10, density=0.05, images=2, offset=True, stop=None, seed=1, rref=True)
+@example(width=128, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop="d", seed=1, rref=True)
+@example(width=200, dim=12, block_bits=10, density=0.05, images=2, offset=False, stop=None, seed=1, rref=True)
+@example(width=200, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop="d", seed=1, rref=True)
+def test_walk_matches_reference_walk(width, dim, block_bits, density, images, offset, stop, seed,
+                                     rref):
     rng = random.Random(seed)
     kernel_bits = list(random_matrix(rng, dim, width, density).bits)
+    if rref:
+        kernel_bits = list(EchelonBasis.from_rows(width, kernel_bits).bits)
     # Boundaries lie in the span of the cycles, as in a complex.
     image_rows = []
     for _ in range(images):
@@ -385,7 +399,28 @@ def test_toric_l4_walk_matches_reference_and_skips_blocks(monkeypatch):
     reference = ref_gray_walk(kernel, mat_columns(cx.boundary(2)), 0, None)
     assert (result.value, result.witness, result.enumerated) == reference
     assert result.value == 4
-    # The 2**7 blocks after the first are weighed packed, and most hold no
-    # vector lighter than the minimum found so far.
-    assert len(weighed) == 2**7 - 1
+    # Of the 2**7 - 1 blocks after the first, the weight of the bits no low
+    # vector has set rules out some before any packed arithmetic; most of
+    # those left for the packed filter hold no vector lighter than the
+    # minimum found so far.
+    assert 0 < len(weighed) < 2**7 - 1
     assert weighed.count(False) > len(weighed) // 2
+
+
+@pytest.mark.parametrize("compute, checks, image", [
+    # Cycles meet every row of A_1 evenly; boundaries span the columns of A_2.
+    (homological_distance, lambda a1, a2: a1.bits, lambda a1, a2: mat_columns(a2)),
+    # Cocycles meet every column of A_2 evenly; coboundaries span the rows of A_1.
+    (cohomological_distance, lambda a1, a2: mat_columns(a2), lambda a1, a2: a1.bits),
+], ids=["homology", "cohomology"])
+def test_toric_l5_full_walk(compute, checks, image):
+    cx = toric_lattice_complex(5)
+    result = compute(cx, 1)
+    assert result.value == 5 and result.exact
+    assert result.enumerated == 2**26 - 1
+    # The witness, re-checked with the test-local elimination only.
+    a1, a2 = cx.boundary(1), cx.boundary(2)
+    w = result.witness
+    assert w.bit_count() == 5
+    assert not any((row & w).bit_count() & 1 for row in checks(a1, a2))
+    assert ref_reduce(ref_echelon(image(a1, a2)), w)
