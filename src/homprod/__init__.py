@@ -7,13 +7,10 @@ from .gf2 import (
     DimensionMismatch,
     EchelonBasis,
     column_space_basis,
-    hstack,
     kernel_basis,
-    kron,
     rank,
     row_space_basis,
     solve,
-    vstack,
 )
 from .extnat import ExtNat, INFINITY, min_or_infinity
 from .complexes import (
@@ -24,6 +21,7 @@ from .complexes import (
 )
 from .distance import (
     DEFAULT_KERNEL_CAP,
+    CodeParameters,
     DistanceResult,
     cohomological_distance,
     homological_distance,
@@ -37,7 +35,6 @@ from .products import (
     tensor_product,
 )
 from .codes import (
-    CodeParameters,
     CssCode,
     EnsembleSpec,
     InvalidSpec,
@@ -85,9 +82,7 @@ __all__ = [
     "gallager_matrix",
     "generate_matrix",
     "homological_distance",
-    "hstack",
     "kernel_basis",
-    "kron",
     "kunneth_ranks",
     "loads_alist",
     "min_or_infinity",
@@ -102,6 +97,5 @@ __all__ = [
     "solve",
     "sparsity",
     "tensor_product",
-    "vstack",
     "write_alist",
 ]

@@ -57,9 +57,10 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
 def load_bundle(directory) -> Bundle:
     """Read a bundle; the complex is checked on construction and against its manifest.
 
-    A manifest whose keys have the wrong type (``boundaries`` not a list of
-    ``m`` file names, ``provenance`` or its ``source`` not an object) raises
-    ``ParseError`` before any file is read.
+    A manifest whose keys have the wrong type (``m`` not an int of at least
+    1, ``dims`` not a list of m + 1 nonnegative ints, ``boundaries`` not a
+    list of ``m`` file names, ``provenance`` or its ``source`` not an
+    object) raises ``ParseError`` before any file is read.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -73,11 +74,17 @@ def load_bundle(directory) -> Bundle:
     for key in ("m", "dims", "boundaries"):
         if key not in manifest:
             raise ParseError(1, f"manifest missing key {key!r}")
-    names = manifest["boundaries"]
-    if not (isinstance(names, list) and len(names) == manifest["m"]
+    m, dims, names = manifest["m"], manifest["dims"], manifest["boundaries"]
+    if type(m) is not int or m < 1:
+        raise ParseError(1, f"manifest key 'm' must be an int of at least 1, got {m!r}")
+    if not (type(dims) is list and len(dims) == m + 1
+            and all(type(n) is int and n >= 0 for n in dims)):
+        raise ParseError(1, f"manifest key 'dims' must be a list of m+1={m + 1} "
+                            f"nonnegative ints, got {dims!r}")
+    if not (isinstance(names, list) and len(names) == m
             and all(isinstance(name, str) for name in names)):
         raise ParseError(1, f"manifest key 'boundaries' must be a list of "
-                            f"m={manifest['m']!r} file names, got {names!r}")
+                            f"m={m} file names, got {names!r}")
     provenance = manifest.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ParseError(1, f"manifest key 'provenance' must be an object, got {provenance!r}")
@@ -86,8 +93,8 @@ def load_bundle(directory) -> Bundle:
                             f"got {provenance['source']!r}")
     matrices = [read_alist(directory / name) for name in names]
     cx = ChainComplex(matrices)
-    if cx.m != manifest["m"] or list(cx.dims) != list(manifest["dims"]):
+    if cx.m != m or list(cx.dims) != dims:
         raise DimensionMismatch(
-            f"manifest declares m={manifest['m']} dims={manifest['dims']}, "
+            f"manifest declares m={m} dims={dims}, "
             f"files give m={cx.m} dims={list(cx.dims)}")
     return Bundle(path=directory, complex=cx, manifest=manifest)

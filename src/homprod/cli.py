@@ -56,29 +56,27 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _seed_matrix(args, parser):
+def _ensemble_seed(args, parser):
+    """The ``--ensemble`` matrix and its source record, or (None, None) under ``--matrix``.
+
+    Exactly one of the two options is required.
+    """
     if bool(args.matrix) == bool(args.ensemble):
         parser.error("exactly one of --matrix or --ensemble is required")
     if args.matrix:
-        if len(args.matrix) > 1:
-            parser.error("power takes a single seed matrix")
-        return read_alist(args.matrix[0]), {"kind": "matrix", "file": str(args.matrix[0])}
+        return None, None
     spec = EnsembleSpec.parse(args.ensemble, seed=args.seed)
     return generate_matrix(spec), {"kind": "ensemble", "spec": args.ensemble,
                                    "seed": args.seed}
 
 
 def cmd_build(args, parser) -> int:
-    if bool(args.matrix) == bool(args.ensemble):
-        parser.error("exactly one of --matrix or --ensemble is required")
-    if args.matrix:
-        matrices = [read_alist(p) for p in args.matrix]
-        cx = ChainComplex(matrices)
-        source = {"kind": "matrices", "files": [str(p) for p in args.matrix]}
+    p, source = _ensemble_seed(args, parser)
+    if p is None:
+        cx = ChainComplex([read_alist(f) for f in args.matrix])
+        source = {"kind": "matrices", "files": [str(f) for f in args.matrix]}
     else:
-        spec = EnsembleSpec.parse(args.ensemble, seed=args.seed)
-        cx = one_complex(generate_matrix(spec))
-        source = {"kind": "ensemble", "spec": args.ensemble, "seed": args.seed}
+        cx = one_complex(p)
     save_bundle(cx, args.out, provenance("build", seed=args.seed, source=source))
     print(f"wrote bundle {args.out} (m={cx.m}, dims={list(cx.dims)})")
     return EXIT_OK
@@ -101,15 +99,17 @@ def cmd_product(args, parser) -> int:
 
 
 def cmd_power(args, parser) -> int:
-    p, seed_source = _seed_matrix(args, parser)
+    p, ensemble = _ensemble_seed(args, parser)
+    source = {"kind": "power", "a": args.a, "b": args.b, "matrix": "seed.alist"}
+    if p is None:
+        if len(args.matrix) > 1:
+            parser.error("power takes a single seed matrix")
+        p = read_alist(args.matrix[0])
+        source["seed_file"] = str(args.matrix[0])
+    else:
+        source.update(ensemble=ensemble["spec"], seed=ensemble["seed"])
     cx = power_complex(p, args.a, args.b)
     out = Path(args.out)
-    source = {"kind": "power", "a": args.a, "b": args.b, "matrix": "seed.alist"}
-    if seed_source["kind"] == "ensemble":
-        source["ensemble"] = seed_source["spec"]
-        source["seed"] = seed_source["seed"]
-    else:
-        source["seed_file"] = seed_source["file"]
     save_bundle(cx, out, provenance("power", seed=args.seed, a=args.a, b=args.b,
                                     source=source))
     write_alist(p, out / "seed.alist")

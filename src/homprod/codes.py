@@ -6,8 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import ChainComplex, LevelOutOfRange
-from .distance import DEFAULT_KERNEL_CAP, _min_nontrivial
-from .extnat import ExtNat
+from .distance import DEFAULT_KERNEL_CAP, CodeParameters, pair_parameters
 from .gf2 import BinMatrix
 
 
@@ -34,29 +33,6 @@ class CssCode:
         return self.g_x.cols
 
 
-@dataclass(frozen=True)
-class CodeParameters:
-    """[[n, k, d]] data with per-side exactness.
-
-    ``d_z`` is the level's homology side, ``d_x`` its cohomology side.  A
-    side past the kernel cap is the engine's interval [d, d_upper] with
-    ``exact`` false; otherwise both ends agree.
-    """
-
-    n: int
-    k: int
-    d_z: ExtNat
-    d_x: ExtNat
-    d_z_upper: ExtNat
-    d_x_upper: ExtNat
-    exact_z: bool
-    exact_x: bool
-
-    @property
-    def d(self) -> ExtNat:
-        return min(self.d_z, self.d_x)
-
-
 def extract_css(c: ChainComplex, level: int) -> CssCode:
     """CSS code at a level: g_x is the boundary, g_z the transposed coboundary.
 
@@ -69,17 +45,13 @@ def extract_css(c: ChainComplex, level: int) -> CssCode:
 
 
 def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP) -> CodeParameters:
-    """n, k and both distances; a side past the cap is the engine's interval.
+    """n, k and both distance sides of the pair (g_x, g_z); a side past the cap is an interval.
 
-    ``k`` comes from the two kernels the sides built: their dimensions are
-    n - rank g_x and n - rank g_z.
+    ``z`` is the lightest vector of Ker g_x off the row span of g_z, ``x``
+    the same with g_x and g_z swapped; each generator matrix is eliminated
+    once, and ``k`` comes from the two kernels.
     """
-    # Each side: min weight in Ker(stabilizer) off the row span of the other.
-    z = _min_nontrivial(code.g_x, code.g_z.transpose(), cap=cap)
-    x = _min_nontrivial(code.g_z, code.g_x.transpose(), cap=cap)
-    return CodeParameters(n=code.n, k=z.kernel_dim + x.kernel_dim - code.n,
-                          d_z=z.value, d_x=x.value, d_z_upper=z.upper, d_x_upper=x.upper,
-                          exact_z=z.exact, exact_x=x.exact)
+    return pair_parameters(code.g_x, code.g_z, cap=cap)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,15 @@
 """Minimum-distance engine: an exact value, or an interval past the cap.
 
-The homological distance at level j is the minimum Hamming weight over
-cycles (kernel vectors of A_j) that are not boundaries (outside the column
-span of A_{j+1}).  The engine walks the whole kernel with a Gray code, one
+Every distance side is one row-given pair (h, g): the minimum Hamming
+weight over the kernel of h outside the row span of g.  The homology side
+of level j is (A_j, A_{j+1}^T): cycles that are not boundaries.  Its
+cohomology side is the same pair swapped, and a CSS code's two sides are
+(g_x, g_z) and (g_z, g_x).  ``pair_parameters`` gives both sides of a
+pair, and its ``k``, from one row-space elimination per matrix: the
+RREF of each matrix is one side's image and, through ``kernel_from_rref``,
+the other side's kernel.
+
+The engine walks the whole kernel with a Gray code, one
 basis flip per step, and tests boundary membership only for candidates
 that would improve the current minimum.  The steps go in blocks of 2**10,
 and a block is stepped through only when it may hold a vector lighter
@@ -29,7 +36,7 @@ from itertools import chain
 
 from .complexes import ChainComplex, LevelOutOfRange
 from .extnat import INFINITY, ExtNat, as_extnat
-from .gf2 import BinMatrix, EchelonBasis, column_space_basis, kernel_basis
+from .gf2 import BinMatrix, EchelonBasis, kernel_basis, kernel_from_rref, row_space_basis
 
 DEFAULT_KERNEL_CAP = 28
 
@@ -55,14 +62,24 @@ class DistanceResult:
     kernel_dim: int
 
 
-def _is_boundary(x: int, image_pairs) -> bool:
-    """True when ``x`` reduces to zero against the (pivot, row) image basis."""
-    for p, r in image_pairs:
-        if (x >> p) & 1:
-            x ^= r
-            if not x:
-                return True
-    return not x
+@dataclass(frozen=True)
+class CodeParameters:
+    """[[n, k, d]] of a row-given pair (h, g), with both sides as engine results.
+
+    ``z`` is the homology side (Ker h off the row span of g) and ``x`` the
+    cohomology side (the pair swapped); for a CSS code h is g_x and g is
+    g_z.  ``d`` is the lower end of the lighter side, so it is the
+    distance when both sides are exact.
+    """
+
+    n: int
+    k: int
+    z: DistanceResult
+    x: DistanceResult
+
+    @property
+    def d(self) -> ExtNat:
+        return min(self.z.value, self.x.value)
 
 
 # A block is 2**_BLOCK_BITS consecutive Gray steps: the lowest kernel
@@ -119,12 +136,12 @@ class _PackedBlocks:
         return (x + self.offset) & self.top_bit != self.top_bit
 
 
-def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
+def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
     """Gray-code walk over the span of ``kernel_bits`` offset by ``start``.
 
     Visits ``start`` plus all 2**len(kernel_bits) - 1 nonzero combinations
     XORed onto it, skipping the zero vector.  Returns (best, witness, count),
-    with best and witness None when every visited vector is a boundary.
+    with best and witness None when every visited vector is in ``image``.
 
     The steps go in blocks of 2**k, k = min(dim, _BLOCK_BITS): the k low
     vectors run through all their combinations while the rest stay fixed.
@@ -146,7 +163,7 @@ def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
     # nontrivial cycle always improves on this.
     best = sum(b.bit_count() for b in kernel_bits) + start.bit_count() + 1
     witness = None
-    if start and not _is_boundary(start, image_pairs):
+    if start and start not in image:
         best, witness = start.bit_count(), start
         if stop_at is not None and best <= stop_at:
             return best, witness, 1
@@ -182,7 +199,7 @@ def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
         for step, f in steps:
             x ^= f
             w = x.bit_count()
-            if w < best and not _is_boundary(x, image_pairs):
+            if w < best and x not in image:
                 best = w
                 witness = x
                 if stop_at is not None and best <= stop_at:
@@ -193,10 +210,9 @@ def _walk_range(kernel_bits, image_pairs, start: int, stop_at):
 
 def _search(kernel: EchelonBasis, image: EchelonBasis, stop_at, workers: int):
     kernel_bits = kernel.bits
-    image_pairs = tuple(zip(image.pivot_cols, image.bits))
     dim = len(kernel_bits)
     if workers <= 1 or dim < 8:
-        return _walk_range(kernel_bits, image_pairs, 0, stop_at)
+        return _walk_range(kernel_bits, image, 0, stop_at)
     # Partition by fixing the top t kernel coordinates; sub-searches share
     # only immutable bases and merge by min.  The split follows ``workers``
     # alone, so counts and witnesses do not depend on the pool size.
@@ -204,7 +220,7 @@ def _search(kernel: EchelonBasis, image: EchelonBasis, stop_at, workers: int):
     starts = [0]
     for b in kernel_bits[dim - t:]:
         starts += [s ^ b for s in starts]
-    walk = partial(_walk_range, kernel_bits[: dim - t], image_pairs, stop_at=stop_at)
+    walk = partial(_walk_range, kernel_bits[: dim - t], image, stop_at=stop_at)
     best, witness, total = None, None, 0
     # A forking pool starts all its processes at once: no more than there
     # are tasks or CPUs.
@@ -216,11 +232,9 @@ def _search(kernel: EchelonBasis, image: EchelonBasis, stop_at, workers: int):
     return best, witness, total
 
 
-def _min_nontrivial(parity: BinMatrix, image_of: BinMatrix, *, cap: int,
-                    lower_bound=None, workers: int = 1) -> DistanceResult:
-    """Minimum weight over ``Ker(parity)`` outside the column span of ``image_of``."""
-    kernel = kernel_basis(parity)
-    image = column_space_basis(image_of)
+def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis, *,
+                    cap: int, lower_bound=None, workers: int = 1) -> DistanceResult:
+    """Minimum weight over the span of ``kernel``, a basis of Ker(parity), outside ``image``."""
     dim = len(kernel)
     if dim - len(image) == 0:
         # Trivial group: every cycle is a boundary.
@@ -246,23 +260,42 @@ def _min_nontrivial(parity: BinMatrix, image_of: BinMatrix, *, cap: int,
     return DistanceResult(ExtNat(best), witness, count, ExtNat(best), True, dim)
 
 
+def pair_parameters(h: BinMatrix, g: BinMatrix, *, cap: int = DEFAULT_KERNEL_CAP,
+                    workers: int = 1) -> CodeParameters:
+    """Both sides of the row-given pair (h, g) and k = dim Ker h + dim Ker g - n.
+
+    Each matrix is eliminated once; its RREF is one side's image and
+    yields the other side's kernel.
+    """
+    h_rows, g_rows = row_space_basis(h), row_space_basis(g)
+    z = _min_nontrivial(h, kernel_from_rref(h_rows), g_rows, cap=cap, workers=workers)
+    x = _min_nontrivial(g, kernel_from_rref(g_rows), h_rows, cap=cap, workers=workers)
+    return CodeParameters(n=h.cols, k=z.kernel_dim + x.kernel_dim - h.cols, z=z, x=x)
+
+
 def homological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERNEL_CAP,
                          lower_bound=None, workers: int = 1) -> DistanceResult:
     """Level distance: exact, infinite for a trivial group, or an interval past ``cap``.
 
-    ``lower_bound``, when supplied, lets the walk stop as soon as the
-    current minimum reaches it (a valid lower bound implies optimality).
+    The side of the pair (A_j, A_{j+1}^T).  ``lower_bound``, when
+    supplied, lets the walk stop as soon as the current minimum reaches
+    it (a valid lower bound implies optimality).
     """
     if not 0 <= level <= c.m:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
-    return _min_nontrivial(c.boundary(level), c.boundary(level + 1),
+    h, g = c.boundary(level), c.boundary(level + 1).transpose()
+    return _min_nontrivial(h, kernel_basis(h), row_space_basis(g),
                            cap=cap, lower_bound=lower_bound, workers=workers)
 
 
 def cohomological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERNEL_CAP,
                            lower_bound=None, workers: int = 1) -> DistanceResult:
-    """Conjugate-group distance, same as ``homological_distance(c.cochain(), c.m - level)``."""
+    """Conjugate-group distance, same as ``homological_distance(c.cochain(), c.m - level)``.
+
+    The side of the swapped pair (A_{j+1}^T, A_j).
+    """
     if not 0 <= level <= c.m:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
-    return _min_nontrivial(c.boundary(level + 1).transpose(), c.boundary(level).transpose(),
+    h, g = c.boundary(level + 1).transpose(), c.boundary(level)
+    return _min_nontrivial(h, kernel_basis(h), row_space_basis(g),
                            cap=cap, lower_bound=lower_bound, workers=workers)

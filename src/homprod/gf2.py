@@ -203,51 +203,6 @@ class BinMatrix:
         return f"BinMatrix({self._nrows}x{self._ncols})"
 
 
-def hstack(mats: Sequence[BinMatrix]) -> BinMatrix:
-    """Concatenate matrices left to right (equal row counts required)."""
-    if not mats:
-        raise ValueError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionMismatch("hstack requires equal row counts")
-    bits = [0] * rows
-    shift = 0
-    for m in mats:
-        for i, b in enumerate(m.bits):
-            bits[i] |= b << shift
-        shift += m.cols
-    return BinMatrix(rows, shift, bits)
-
-
-def vstack(mats: Sequence[BinMatrix]) -> BinMatrix:
-    """Stack matrices top to bottom (equal column counts required)."""
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionMismatch("vstack requires equal column counts")
-    bits: list[int] = []
-    for m in mats:
-        bits.extend(m.bits)
-    return BinMatrix(len(bits), cols, bits)
-
-
-def kron(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    """Kronecker product; block (i, j) equals ``b`` where ``a[i, j] = 1``."""
-    bc = b.cols
-    out = []
-    for abits in a.bits:
-        for bbits in b.bits:
-            acc = 0
-            x = abits
-            while x:
-                j = x.bit_length() - 1
-                acc |= bbits << (j * bc)
-                x ^= 1 << j
-            out.append(acc)
-    return BinMatrix(a.rows * b.rows, a.cols * b.cols, out)
-
-
 def _forward(bits: Iterable[int]) -> dict[int, int]:
     """Reduce each row at its lowest set bit until that bit is a free pivot,
     where the row is stored, or the row vanishes; returns ``pivot -> row``."""
@@ -352,10 +307,10 @@ def column_space_basis(m: BinMatrix) -> EchelonBasis:
     return EchelonBasis.from_rows(m.rows, m.transpose().bits)
 
 
-def kernel_basis(m: BinMatrix) -> EchelonBasis:
-    """Echelon basis of ``{x : m @ x = 0}``; size is ``cols - rank``."""
-    rref = row_space_basis(m)
-    free = {f: 1 << f for f in range(m.cols)}
+def kernel_from_rref(rref: EchelonBasis) -> EchelonBasis:
+    """Echelon basis of ``{x : r . x = 0 for every row r of rref}``, read off the RREF:
+    the kernel of every matrix whose row space ``rref`` spans."""
+    free = {f: 1 << f for f in range(rref.ncols)}
     # Free column f of the RREF row with pivot p puts p into f's vector.
     for p, r in zip(rref.pivot_cols, rref.bits):
         del free[p]
@@ -365,7 +320,12 @@ def kernel_basis(m: BinMatrix) -> EchelonBasis:
             f = r.bit_length() - 1
             free[f] |= bit
             r ^= 1 << f
-    return EchelonBasis.from_rows(m.cols, free.values())
+    return EchelonBasis.from_rows(rref.ncols, free.values())
+
+
+def kernel_basis(m: BinMatrix) -> EchelonBasis:
+    """Echelon basis of ``{x : m @ x = 0}``; size is ``cols - rank``."""
+    return kernel_from_rref(row_space_basis(m))
 
 
 def solve(m: BinMatrix, y) -> int | None:

@@ -11,7 +11,7 @@ import json
 from . import __version__
 from .codes import sparsity
 from .complexes import ChainComplex
-from .distance import DistanceResult, cohomological_distance, homological_distance
+from .distance import DistanceResult, pair_parameters
 from .extnat import ExtNat
 
 FORMATS = ("report", "json-lines")
@@ -62,22 +62,21 @@ def _side_entry(result: DistanceResult, length: int) -> dict:
 def distance_levels(cx: ChainComplex, levels, cap: int, threads: int) -> tuple[list[dict], bool]:
     """Distance entries per requested level; flags whether any side hit the cap.
 
-    ``k`` comes from the two kernels the engine built: their dimensions are
-    n - rank A_j and n - rank A_{j+1}, so no rank is eliminated again.
+    Level j's sides and ``k`` are those of the pair (A_j, A_{j+1}^T).
     """
     entries = []
     cap_hit = False
     for j in levels:
-        homology = homological_distance(cx, j, cap=cap, workers=threads)
-        cohomology = cohomological_distance(cx, j, cap=cap, workers=threads)
-        cap_hit = cap_hit or not homology.exact or not cohomology.exact
-        n = cx.dim(j)
+        params = pair_parameters(cx.boundary(j), cx.boundary(j + 1).transpose(),
+                                 cap=cap, workers=threads)
+        cap_hit = cap_hit or not params.z.exact or not params.x.exact
+        n = params.n
         entries.append({
             "j": j,
             "n": n,
-            "k": homology.kernel_dim + cohomology.kernel_dim - n,
-            "homology": _side_entry(homology, n),
-            "cohomology": _side_entry(cohomology, n),
+            "k": params.k,
+            "homology": _side_entry(params.z, n),
+            "cohomology": _side_entry(params.x, n),
             "sparsity": list(sparsity(cx.boundary(j))) if j >= 1 else None,
         })
     return entries, cap_hit

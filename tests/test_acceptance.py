@@ -201,14 +201,14 @@ def test_criterion_5_closed_form_families():
 
         qhp = css_parameters(extract_css(power_complex(p2, 1, 1), 1))
         assert (qhp.n, qhp.k) == (5, 1)
-        assert qhp.d_x == 2 and qhp.d_z == 2 and qhp.exact_x and qhp.exact_z
+        assert qhp.x.value == 2 and qhp.z.value == 2 and qhp.x.exact and qhp.z.exact
 
         for L in (2, 3, 4):
             cx = power_complex(repetition_circulant(L), 1, 1)
             params = css_parameters(extract_css(cx, 1))
             assert (params.n, params.k) == (2 * L * L, 2)
-            assert params.d_x == L and params.d_z == L
-            assert params.exact_x and params.exact_z
+            assert params.x.value == L and params.z.value == L
+            assert params.x.exact and params.z.exact
 
         r, c = p2.shape
         delta = homological_distance(one_complex(p2), 1).value.finite_value
@@ -299,6 +299,6 @@ def test_criterion_9_io_round_trip(tmp_path, capsys):
             g_x=read_alist(css_dir / "gx.alist"),
             g_z=read_alist(css_dir / "gz.alist"),
         ))
-        assert (reloaded.n, reloaded.k, reloaded.d_x, reloaded.d_z) == \
-            (direct.n, direct.k, direct.d_x, direct.d_z)
-        assert (reloaded.exact_x, reloaded.exact_z) == (direct.exact_x, direct.exact_z)
+        assert (reloaded.n, reloaded.k, reloaded.x.value, reloaded.z.value) == \
+            (direct.n, direct.k, direct.x.value, direct.z.value)
+        assert (reloaded.x.exact, reloaded.z.exact) == (direct.x.exact, direct.z.exact)

@@ -148,6 +148,25 @@ def test_manifest_boundaries_must_list_m_file_names(toric_bundle, capsys, bounda
     assert err.startswith("error: ") and "manifest key 'boundaries'" in err
 
 
+@pytest.mark.parametrize("m", [0, -1, True, 2.0, "2", None, [2]])
+def test_manifest_m_must_be_a_positive_int(toric_bundle, capsys, m):
+    _set_manifest(toric_bundle, "m", m)
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "manifest key 'm'" in err
+
+
+@pytest.mark.parametrize("dims", [5, "18", None, {"0": 9}, [9, 18], [9, 18, 9, 0],
+                                  [9, -18, 9], [9, 18.0, 9], [9, True, 9]])
+def test_manifest_dims_must_list_m_plus_1_counts(toric_bundle, capsys, dims):
+    _set_manifest(toric_bundle, "dims", dims)
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "manifest key 'dims'" in err
+
+
 def test_manifest_must_be_an_object(toric_bundle, capsys):
     (toric_bundle / "manifest.json").write_text(json.dumps(["m", "dims", "boundaries"]))
     code, out, err = run(capsys, "analyze", str(toric_bundle))

@@ -9,13 +9,16 @@ import pytest
 
 from homprod import distance
 from homprod import (
+    DEFAULT_KERNEL_CAP,
     BinMatrix,
+    EchelonBasis,
     EnsembleSpec,
     INFINITY,
     InvalidSpec,
     css_parameters,
     extract_css,
     gallager_matrix,
+    cohomological_distance,
     generate_matrix,
     homological_distance,
     kunneth_ranks,
@@ -52,9 +55,9 @@ def test_qhp_five_qubit_parameters():
     cx = power_complex(BinMatrix.from_string("11"), 1, 1)
     params = css_parameters(extract_css(cx, 1))
     assert (params.n, params.k) == (5, 1)
-    assert params.d_x == 2 and params.d_z == 2
+    assert params.x.value == 2 and params.z.value == 2
     assert params.d == 2
-    assert params.exact_x and params.exact_z
+    assert params.x.exact and params.z.exact
 
 
 def test_toric_family_parameters():
@@ -62,7 +65,7 @@ def test_toric_family_parameters():
         cx = power_complex(repetition_circulant(L), 1, 1)
         params = css_parameters(extract_css(cx, 1))
         assert (params.n, params.k) == (2 * L * L, 2)
-        assert params.d_x == L and params.d_z == L
+        assert params.x.value == L and params.z.value == L
 
 
 def test_zero_logical_code_reports_infinite_exact():
@@ -70,7 +73,7 @@ def test_zero_logical_code_reports_infinite_exact():
     params = css_parameters(code)
     assert params.k == 0
     assert params.d == INFINITY
-    assert params.exact_x and params.exact_z
+    assert params.x.exact and params.z.exact
 
 
 def test_parameters_k_matches_kunneth():
@@ -81,19 +84,19 @@ def test_parameters_k_matches_kunneth():
         cx = tensor_product(a, b)
         for j in range(cx.m + 1):
             params = css_parameters(extract_css(cx, j), cap=16)
-            if params.exact_x and params.exact_z:
+            if params.x.exact and params.z.exact:
                 assert params.k == kunneth_ranks(a, b, j)
 
 
 def test_parameters_degrade_to_interval_past_cap():
     cx = one_complex(BinMatrix.from_string("11111111"))
     params = css_parameters(extract_css(cx, 1), cap=3)
-    assert not params.exact_z
-    assert params.d_z == 1
-    assert params.d_z <= params.d_z_upper
-    assert params.d_z_upper == 2  # lightest kernel basis vector
+    assert not params.z.exact
+    assert params.z.value == 1
+    assert params.z.value <= params.z.upper
+    assert params.z.upper == 2  # lightest kernel basis vector
     # The conjugate side is tiny and stays exact.
-    assert params.exact_x
+    assert params.x.exact
 
 
 def test_circulant_repetition_properties():
@@ -161,11 +164,11 @@ def test_sparsity_examples():
 
 
 def test_past_cap_side_builds_each_kernel_once(monkeypatch):
-    counted = Mock(wraps=distance.kernel_basis)
-    monkeypatch.setattr(distance, "kernel_basis", counted)
+    counted = Mock(wraps=distance.kernel_from_rref)
+    monkeypatch.setattr(distance, "kernel_from_rref", counted)
     params = css_parameters(extract_css(one_complex(BinMatrix.from_string("11111111")), 1),
                             cap=3)
-    assert not params.exact_z and params.exact_x
+    assert not params.z.exact and params.x.exact
     assert counted.call_count == 2  # one per side
 
 
@@ -176,12 +179,47 @@ def test_parameters_match_distance_report():
         for j in range(cx.m + 1):
             for cap in (2, 5, 28):
                 params = css_parameters(extract_css(cx, j), cap)
+                assert params.z == homological_distance(cx, j, cap=cap)
+                assert params.x == cohomological_distance(cx, j, cap=cap)
                 (entry,), _ = distance_levels(cx, [j], cap, 1)
-                hom, coh = entry["homology"], entry["cohomology"]
-                assert (params.d_z, params.d_z_upper, params.exact_z) == \
-                    (hom["lower"], hom["upper"], hom["exact"])
-                assert (params.d_x, params.d_x_upper, params.exact_x) == \
-                    (coh["lower"], coh["upper"], coh["exact"])
+                assert (entry["n"], entry["k"]) == (params.n, params.k)
+
+
+def _count_eliminations(monkeypatch):
+    """Two lists that grow by one per RREF built and per transpose taken."""
+    rrefs, transposes = [], []
+    from_rows = EchelonBasis.from_rows.__func__
+    transpose = BinMatrix.transpose
+
+    def counted_from_rows(cls, ncols, bits):
+        rrefs.append(ncols)
+        return from_rows(cls, ncols, bits)
+
+    def counted_transpose(self):
+        transposes.append(self.shape)
+        return transpose(self)
+
+    monkeypatch.setattr(EchelonBasis, "from_rows", classmethod(counted_from_rows))
+    monkeypatch.setattr(BinMatrix, "transpose", counted_transpose)
+    return rrefs, transposes
+
+
+def test_a_pair_eliminates_each_matrix_once(monkeypatch):
+    # Both sides of a pair share one row RREF per matrix, and each RREF
+    # gives one kernel: 4 RREFs.  A code is given by rows (no transpose);
+    # a level transposes A_{j+1} only.
+    cx = power_complex(repetition_circulant(3), 1, 1)
+    codes = [extract_css(cx, j) for j in range(cx.m + 1)]
+    rrefs, transposes = _count_eliminations(monkeypatch)
+    for j, code in enumerate(codes):
+        del rrefs[:], transposes[:]
+        params = css_parameters(code)
+        assert (len(rrefs), len(transposes)) == (4, 0)
+        del rrefs[:], transposes[:]
+        (entry,), _ = distance_levels(cx, [j], DEFAULT_KERNEL_CAP, 1)
+        assert (len(rrefs), len(transposes)) == (4, 1)
+        assert transposes == [cx.boundary(j + 1).shape]
+        assert entry["k"] == params.k
 
 
 def test_parameters_reuse_the_code_and_the_side_kernels(monkeypatch):
@@ -203,6 +241,6 @@ def test_parameters_reuse_the_code_and_the_side_kernels(monkeypatch):
         if name.partition(".")[0] == "homprod" and getattr(module, "rank", None) is gf2.rank:
             monkeypatch.setattr(module, "rank", ranks)
     params = css_parameters(code)
-    assert (params.n, params.k, params.d_z, params.d_x) == (18, 2, 3, 3)
+    assert (params.n, params.k, params.z.value, params.x.value, params.d) == (18, 2, 3, 3, 3)
     assert matmuls == []
     assert ranks.call_count == 0

@@ -378,9 +378,17 @@ def test_walk_matches_reference_walk(width, dim, block_bits, density, images, of
     image = EchelonBasis.from_rows(width, image_rows)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_BLOCK_BITS", block_bits)
-        got = distance._walk_range(kernel_bits, tuple(zip(image.pivot_cols, image.bits)),
-                                   start, stop)
+        got = distance._walk_range(kernel_bits, image, start, stop)
     assert got == ref_gray_walk(kernel_bits, image_rows, start, stop)
+
+
+def test_walk_passes_over_a_start_in_the_image():
+    # A sub-search may start on a boundary lighter than every cycle it
+    # reaches; the walk must test the start's membership like any step.
+    kernel_bits, image_rows, start = [0b0110, 0b1010], [0b0001], 0b0001
+    image = EchelonBasis.from_rows(4, image_rows)
+    got = distance._walk_range(kernel_bits, image, start, None)
+    assert got == ref_gray_walk(kernel_bits, image_rows, start, None) == (3, 0b0111, 4)
 
 
 def test_toric_l4_walk_matches_reference_and_skips_blocks(monkeypatch):

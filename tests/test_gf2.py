@@ -13,7 +13,6 @@ from homprod import (
     EchelonBasis,
     column_space_basis,
     kernel_basis,
-    kron,
     rank,
     row_space_basis,
     solve,
@@ -63,27 +62,6 @@ def test_multiply_empty():
 def test_multiply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         BinMatrix.identity(2) @ BinMatrix.identity(3)
-
-
-def test_kron_identity_factor():
-    m = BinMatrix.from_string("10 11")
-    k = kron(BinMatrix.identity(2), m)
-    assert k.to_lists() == [
-        [1, 0, 0, 0],
-        [1, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 1, 1],
-    ]
-
-
-def test_kron_row_expansion():
-    assert kron(BinMatrix.from_string("11"), BinMatrix.from_string("10")) == \
-        BinMatrix.from_string("1010")
-
-
-def test_kron_unit_factor():
-    m = BinMatrix.from_string("110 011")
-    assert kron(m, BinMatrix.identity(1)) == m
 
 
 def test_kernel_repetition():
@@ -175,16 +153,6 @@ def test_solve_postconditions():
             assert ref_rank(augmented) > rank(m)
         else:
             assert m.mul_vec(x) == y
-
-
-def test_kron_bilinearity():
-    rng = random.Random(104)
-    for _ in range(20):
-        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        c = random_matrix(rng, a.cols, rng.randint(1, 4))
-        b = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        d = random_matrix(rng, b.cols, rng.randint(1, 4))
-        assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
 def test_rank_agrees_with_reference():
@@ -360,10 +328,10 @@ def _ones(word: int, width: int) -> list[int]:
 
 
 @settings(max_examples=25, deadline=None)
-@given(wide_sparse(), matrices(max_dim=3), st.integers(0, 2**32))
-@example(BinMatrix(0, 1000), BinMatrix(0, 0), 0)
-@example(BinMatrix(2, 1000, [1 << 999 | 1, 1 << 500]), BinMatrix.identity(2), 1)
-def test_property_wide_sparse_products(m, s, seed):
+@given(wide_sparse(), st.integers(0, 2**32))
+@example(BinMatrix(0, 1000), 0)
+@example(BinMatrix(2, 1000, [1 << 999 | 1, 1 << 500]), 1)
+def test_property_wide_sparse_products(m, seed):
     assert list(m.transpose().bits) == mat_columns(m)
     ones = [_ones(m.row_bits(i), m.cols) for i in range(m.rows)]
     weights = [0] * m.cols
@@ -388,9 +356,3 @@ def test_property_wide_sparse_products(m, s, seed):
         expected.append(acc)
     assert list((m @ BinMatrix(m.cols, ncols, b_rows)).bits) == expected
 
-    # kron in both orders: entry ((i, k), (j, l)) is m[i, j] * s[k, l].
-    s_ones = [_ones(s.row_bits(k), s.cols) for k in range(s.rows)]
-    m_by_s = [sum(1 << (j * s.cols + l) for j in mi for l in sk) for mi in ones for sk in s_ones]
-    assert list(kron(m, s).bits) == m_by_s
-    s_by_m = [sum(1 << (l * m.cols + j) for l in sk for j in mi) for sk in s_ones for mi in ones]
-    assert list(kron(s, m).bits) == s_by_m
