@@ -21,7 +21,6 @@ from .complexes import (
 )
 from .distance import (
     DEFAULT_KERNEL_CAP,
-    CodeParameters,
     DistanceResult,
     cohomological_distance,
     homological_distance,
@@ -35,6 +34,7 @@ from .products import (
     tensor_product,
 )
 from .codes import (
+    CodeParameters,
     CssCode,
     EnsembleSpec,
     InvalidSpec,

@@ -56,27 +56,23 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _ensemble_seed(args, parser):
-    """The ``--ensemble`` matrix and its source record, or (None, None) under ``--matrix``.
-
-    Exactly one of the two options is required.
-    """
+def _ensemble_matrix(args, parser):
+    """The ``--ensemble`` seed matrix, or None under ``--matrix``; exactly one is required."""
     if bool(args.matrix) == bool(args.ensemble):
         parser.error("exactly one of --matrix or --ensemble is required")
     if args.matrix:
-        return None, None
-    spec = EnsembleSpec.parse(args.ensemble, seed=args.seed)
-    return generate_matrix(spec), {"kind": "ensemble", "spec": args.ensemble,
-                                   "seed": args.seed}
+        return None
+    return generate_matrix(EnsembleSpec.parse(args.ensemble, seed=args.seed))
 
 
 def cmd_build(args, parser) -> int:
-    p, source = _ensemble_seed(args, parser)
+    p = _ensemble_matrix(args, parser)
     if p is None:
         cx = ChainComplex([read_alist(f) for f in args.matrix])
         source = {"kind": "matrices", "files": [str(f) for f in args.matrix]}
     else:
         cx = one_complex(p)
+        source = {"kind": "ensemble", "spec": args.ensemble, "seed": args.seed}
     save_bundle(cx, args.out, provenance("build", seed=args.seed, source=source))
     print(f"wrote bundle {args.out} (m={cx.m}, dims={list(cx.dims)})")
     return EXIT_OK
@@ -99,7 +95,7 @@ def cmd_product(args, parser) -> int:
 
 
 def cmd_power(args, parser) -> int:
-    p, ensemble = _ensemble_seed(args, parser)
+    p = _ensemble_matrix(args, parser)
     source = {"kind": "power", "a": args.a, "b": args.b, "matrix": "seed.alist"}
     if p is None:
         if len(args.matrix) > 1:
@@ -107,7 +103,7 @@ def cmd_power(args, parser) -> int:
         p = read_alist(args.matrix[0])
         source["seed_file"] = str(args.matrix[0])
     else:
-        source.update(ensemble=ensemble["spec"], seed=ensemble["seed"])
+        source.update(ensemble=args.ensemble, seed=args.seed)
     cx = power_complex(p, args.a, args.b)
     out = Path(args.out)
     save_bundle(cx, out, provenance("power", seed=args.seed, a=args.a, b=args.b,

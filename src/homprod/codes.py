@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import distance
 from .complexes import ChainComplex, LevelOutOfRange
-from .distance import DEFAULT_KERNEL_CAP, CodeParameters, pair_parameters
-from .gf2 import BinMatrix
+from .distance import DEFAULT_KERNEL_CAP, DistanceResult
+from .extnat import ExtNat
+from .gf2 import BinMatrix, kernel_from_rref, row_space_basis
 
 
 class InvalidSpec(ValueError):
@@ -33,6 +35,26 @@ class CssCode:
         return self.g_x.cols
 
 
+@dataclass(frozen=True)
+class CodeParameters:
+    """[[n, k, d]] of a row-given pair (h, g), with both sides as engine results.
+
+    ``z`` is the homology side (Ker h off the row span of g) and ``x`` the
+    cohomology side (the pair swapped); for a CSS code h is g_x and g is
+    g_z.  ``d`` is the lower end of the lighter side, so it is the
+    distance when both sides are exact.
+    """
+
+    n: int
+    k: int
+    z: DistanceResult
+    x: DistanceResult
+
+    @property
+    def d(self) -> ExtNat:
+        return min(self.z.value, self.x.value)
+
+
 def extract_css(c: ChainComplex, level: int) -> CssCode:
     """CSS code at a level: g_x is the boundary, g_z the transposed coboundary.
 
@@ -42,6 +64,21 @@ def extract_css(c: ChainComplex, level: int) -> CssCode:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
     return CssCode(g_x=c.boundary(level), g_z=c.boundary(level + 1).transpose(),
                    level=level)
+
+
+def pair_parameters(h: BinMatrix, g: BinMatrix, *, cap: int = DEFAULT_KERNEL_CAP,
+                    workers: int = 1) -> CodeParameters:
+    """Both sides of the row-given pair (h, g) and k = dim Ker h + dim Ker g - n.
+
+    Each matrix is eliminated once; its RREF is one side's image and
+    yields the other side's kernel.  Each side is one call of the engine's
+    per-side routine, looked up on its module.
+    """
+    h_rows, g_rows = row_space_basis(h), row_space_basis(g)
+    side = distance._min_nontrivial
+    z = side(h, kernel_from_rref(h_rows), g_rows, cap=cap, workers=workers)
+    x = side(g, kernel_from_rref(g_rows), h_rows, cap=cap, workers=workers)
+    return CodeParameters(n=h.cols, k=z.kernel_dim + x.kernel_dim - h.cols, z=z, x=x)
 
 
 def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP) -> CodeParameters:

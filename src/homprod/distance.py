@@ -4,10 +4,11 @@ Every distance side is one row-given pair (h, g): the minimum Hamming
 weight over the kernel of h outside the row span of g.  The homology side
 of level j is (A_j, A_{j+1}^T): cycles that are not boundaries.  Its
 cohomology side is the same pair swapped, and a CSS code's two sides are
-(g_x, g_z) and (g_z, g_x).  ``pair_parameters`` gives both sides of a
-pair, and its ``k``, from one row-space elimination per matrix: the
-RREF of each matrix is one side's image and, through ``kernel_from_rref``,
-the other side's kernel.
+(g_x, g_z) and (g_z, g_x).  ``_min_nontrivial`` is the one per-side
+routine; ``codes.pair_parameters`` gives both sides of a pair, and its
+``k``, from one row-space elimination per matrix: the RREF of each matrix
+is one side's image and, through ``gf2.kernel_from_rref``, the other
+side's kernel.
 
 The engine walks the whole kernel with a Gray code, one
 basis flip per step, and tests boundary membership only for candidates
@@ -36,7 +37,7 @@ from itertools import chain
 
 from .complexes import ChainComplex, LevelOutOfRange
 from .extnat import INFINITY, ExtNat, as_extnat
-from .gf2 import BinMatrix, EchelonBasis, kernel_basis, kernel_from_rref, row_space_basis
+from .gf2 import BinMatrix, EchelonBasis, kernel_basis, row_space_basis
 
 DEFAULT_KERNEL_CAP = 28
 
@@ -60,26 +61,6 @@ class DistanceResult:
     upper: ExtNat
     exact: bool
     kernel_dim: int
-
-
-@dataclass(frozen=True)
-class CodeParameters:
-    """[[n, k, d]] of a row-given pair (h, g), with both sides as engine results.
-
-    ``z`` is the homology side (Ker h off the row span of g) and ``x`` the
-    cohomology side (the pair swapped); for a CSS code h is g_x and g is
-    g_z.  ``d`` is the lower end of the lighter side, so it is the
-    distance when both sides are exact.
-    """
-
-    n: int
-    k: int
-    z: DistanceResult
-    x: DistanceResult
-
-    @property
-    def d(self) -> ExtNat:
-        return min(self.z.value, self.x.value)
 
 
 # A block is 2**_BLOCK_BITS consecutive Gray steps: the lowest kernel
@@ -258,19 +239,6 @@ def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis
     if parity.mul_vec(witness) or witness in image or witness.bit_count() != best:
         raise AssertionError("distance witness failed post-hoc validation")
     return DistanceResult(ExtNat(best), witness, count, ExtNat(best), True, dim)
-
-
-def pair_parameters(h: BinMatrix, g: BinMatrix, *, cap: int = DEFAULT_KERNEL_CAP,
-                    workers: int = 1) -> CodeParameters:
-    """Both sides of the row-given pair (h, g) and k = dim Ker h + dim Ker g - n.
-
-    Each matrix is eliminated once; its RREF is one side's image and
-    yields the other side's kernel.
-    """
-    h_rows, g_rows = row_space_basis(h), row_space_basis(g)
-    z = _min_nontrivial(h, kernel_from_rref(h_rows), g_rows, cap=cap, workers=workers)
-    x = _min_nontrivial(g, kernel_from_rref(g_rows), h_rows, cap=cap, workers=workers)
-    return CodeParameters(n=h.cols, k=z.kernel_dim + x.kernel_dim - h.cols, z=z, x=x)
 
 
 def homological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERNEL_CAP,

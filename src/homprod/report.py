@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .codes import sparsity
+from .codes import pair_parameters, sparsity
 from .complexes import ChainComplex
-from .distance import DistanceResult, pair_parameters
+from .distance import DistanceResult
 from .extnat import ExtNat
 
 FORMATS = ("report", "json-lines")

@@ -294,6 +294,24 @@ def test_gallager_build_reproducible(tmp_path, capsys):
     assert (out1 / "A1.alist").read_text() == (out2 / "A1.alist").read_text()
 
 
+def test_seed_source_is_recorded(tmp_path, capsys):
+    def source(out):
+        return json.loads((out / "manifest.json").read_text())["provenance"]["source"]
+
+    assert run(capsys, "build", "--ensemble", "gallager:2,4,8", "--seed", "42",
+               "--out", str(tmp_path / "b"))[0] == 0
+    assert source(tmp_path / "b") == {"kind": "ensemble", "spec": "gallager:2,4,8", "seed": 42}
+    assert run(capsys, "power", "--ensemble", "rep:3", "--seed", "7", "--a", "1", "--b", "0",
+               "--out", str(tmp_path / "p"))[0] == 0
+    assert source(tmp_path / "p") == {"kind": "power", "a": 1, "b": 0, "matrix": "seed.alist",
+                                      "ensemble": "rep:3", "seed": 7}
+    seed = tmp_path / "b" / "A1.alist"
+    assert run(capsys, "power", "--matrix", str(seed), "--a", "1", "--b", "0",
+               "--out", str(tmp_path / "q"))[0] == 0
+    assert source(tmp_path / "q") == {"kind": "power", "a": 1, "b": 0, "matrix": "seed.alist",
+                                      "seed_file": str(seed)}
+
+
 def test_verify_nested_product(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -7,7 +7,7 @@ from unittest.mock import Mock
 
 import pytest
 
-from homprod import distance
+from homprod import codes
 from homprod import (
     DEFAULT_KERNEL_CAP,
     BinMatrix,
@@ -164,8 +164,8 @@ def test_sparsity_examples():
 
 
 def test_past_cap_side_builds_each_kernel_once(monkeypatch):
-    counted = Mock(wraps=distance.kernel_from_rref)
-    monkeypatch.setattr(distance, "kernel_from_rref", counted)
+    counted = Mock(wraps=codes.kernel_from_rref)
+    monkeypatch.setattr(codes, "kernel_from_rref", counted)
     params = css_parameters(extract_css(one_complex(BinMatrix.from_string("11111111")), 1),
                             cap=3)
     assert not params.z.exact and params.x.exact
@@ -183,6 +183,11 @@ def test_parameters_match_distance_report():
                 assert params.x == cohomological_distance(cx, j, cap=cap)
                 (entry,), _ = distance_levels(cx, [j], cap, 1)
                 assert (entry["n"], entry["k"]) == (params.n, params.k)
+                hom, coh = entry["homology"], entry["cohomology"]
+                assert (hom["lower"], hom["upper"], hom["exact"]) == \
+                    (params.z.value, params.z.upper, params.z.exact)
+                assert (coh["lower"], coh["upper"], coh["exact"]) == \
+                    (params.x.value, params.x.upper, params.x.exact)
 
 
 def _count_eliminations(monkeypatch):
