@@ -6,7 +6,6 @@ from .gf2 import (
     BinMatrix,
     DimensionMismatch,
     EchelonBasis,
-    column_space_basis,
     kernel_basis,
     rank,
     row_space_basis,
@@ -74,7 +73,6 @@ __all__ = [
     "NotOrthogonal",
     "ParseError",
     "cohomological_distance",
-    "column_space_basis",
     "css_parameters",
     "distance_upper_bound",
     "dumps_alist",

@@ -57,10 +57,11 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
 def load_bundle(directory) -> Bundle:
     """Read a bundle; the complex is checked on construction and against its manifest.
 
-    A manifest whose keys have the wrong type (``m`` not an int of at least
-    1, ``dims`` not a list of m + 1 nonnegative ints, ``boundaries`` not a
-    list of ``m`` file names, ``provenance`` or its ``source`` not an
-    object) raises ``ParseError`` before any file is read.
+    A manifest whose keys have the wrong type or value (``format`` not
+    ``complex-bundle/1``, ``m`` not an int of at least 1, ``dims`` not a
+    list of m + 1 nonnegative ints, ``boundaries`` not a list of ``m`` file
+    names, ``provenance`` or its ``source`` not an object) raises
+    ``ParseError`` before any file is read.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -71,9 +72,12 @@ def load_bundle(directory) -> Bundle:
         raise ParseError(exc.lineno, f"malformed manifest: {exc.msg}") from exc
     if not isinstance(manifest, dict):
         raise ParseError(1, "manifest must be a JSON object")
-    for key in ("m", "dims", "boundaries"):
+    for key in ("format", "m", "dims", "boundaries"):
         if key not in manifest:
             raise ParseError(1, f"manifest missing key {key!r}")
+    if manifest["format"] != FORMAT_TAG:
+        raise ParseError(1, f"manifest key 'format' must be {FORMAT_TAG!r}, "
+                            f"got {manifest['format']!r}")
     m, dims, names = manifest["m"], manifest["dims"], manifest["boundaries"]
     if type(m) is not int or m < 1:
         raise ParseError(1, f"manifest key 'm' must be an int of at least 1, got {m!r}")

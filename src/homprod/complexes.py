@@ -6,11 +6,15 @@ product ``A_j @ A_{j+1}`` zero.  Levels run 0..m; the trivial boundary
 operators at the two ends are materialized as empty matrices so that rank
 and homology formulas need no branches.
 
-Boundary ranks are eliminated on first request and cached.  A complex
-built by ``tensor_product`` instead carries the complexes it is the
-product of; by the Künneth theorem over GF(2) its homology ranks are the
-convolution of theirs, and the first rank request fills every boundary
-rank from them, with no elimination of its own.
+``ChainComplex(...)`` takes matrices from outside the program and checks
+both conditions.  A tensor product of complexes is a complex by
+construction, so ``_product`` checks shapes only.
+
+Boundary ranks are eliminated on first request and cached.  A product
+instead carries the complexes it is the product of; by the Künneth
+theorem over GF(2) its homology ranks are the convolution of theirs, and
+the first rank request fills every boundary rank from them, with no
+elimination of its own.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ class ChainComplex:
     __slots__ = ("_boundaries", "_dims", "_ranks", "_factors")
 
     def __init__(self, boundaries: Sequence[BinMatrix]):
+        self._set(boundaries, None)
+        for j in range(1, self.m):
+            if not (self._boundaries[j - 1] @ self._boundaries[j]).is_zero():
+                raise NotOrthogonal(j + 1)
+
+    def _set(self, boundaries: Sequence[BinMatrix], factors) -> None:
+        """Store the boundaries once their shapes chain; ``factors`` as below."""
         boundaries = tuple(boundaries)
         if not boundaries:
             raise ValueError("a complex needs at least one boundary matrix")
@@ -57,14 +68,12 @@ class ChainComplex:
                 raise DimensionMismatch(
                     f"A_{j} has {left.cols} columns but A_{j + 1} has {right.rows} rows"
                 )
-            if not (left @ right).is_zero():
-                raise NotOrthogonal(j + 1)
         self._boundaries = boundaries
         self._dims = (boundaries[0].rows,) + tuple(b.cols for b in boundaries)
         self._ranks: dict[int, int] = {}
         # Complexes, none of them waiting on factors of its own, whose
         # homology ranks convolve to this one's; None: eliminate.
-        self._factors: tuple[ChainComplex, ...] | None = None
+        self._factors: tuple[ChainComplex, ...] | None = factors
 
     @property
     def m(self) -> int:
@@ -144,16 +153,6 @@ class ChainComplex:
     def homology_ranks(self) -> tuple[int, ...]:
         return tuple(self.homology_rank(j) for j in range(self.m + 1))
 
-    def cochain(self) -> "ChainComplex":
-        """Transposed boundaries in reverse order; level j maps to level m - j.
-
-        Boundary ranks already known are copied (rank A^T = rank A), so the
-        cochain eliminates nothing this complex has eliminated.
-        """
-        co = ChainComplex(tuple(b.transpose() for b in reversed(self._boundaries)))
-        co._ranks = {self.m + 1 - j: r for j, r in self._ranks.items()}
-        return co
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -169,3 +168,13 @@ class ChainComplex:
 def one_complex(p: BinMatrix) -> ChainComplex:
     """The two-space complex defined by a single matrix."""
     return ChainComplex((p,))
+
+
+def _product(boundaries: Sequence[BinMatrix], a: ChainComplex, b: ChainComplex) -> ChainComplex:
+    """The product of ``a`` and ``b`` with these boundaries, which compose to
+    zero by construction: only their shapes are checked."""
+    cx = ChainComplex.__new__(ChainComplex)
+    # A factor still waiting for its ranks passes on its own factors: the
+    # convolution is associative, and the fill then never recurses.
+    cx._set(boundaries, (a._factors or (a,)) + (b._factors or (b,)))
+    return cx

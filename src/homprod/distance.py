@@ -258,10 +258,8 @@ def homological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERN
 
 def cohomological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERNEL_CAP,
                            lower_bound=None, workers: int = 1) -> DistanceResult:
-    """Conjugate-group distance, same as ``homological_distance(c.cochain(), c.m - level)``.
-
-    The side of the swapped pair (A_{j+1}^T, A_j).
-    """
+    """Conjugate-group distance: the side of the swapped pair (A_{j+1}^T, A_j),
+    the homology side at level ``m - level`` of the transposed complex."""
     if not 0 <= level <= c.m:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
     h, g = c.boundary(level + 1).transpose(), c.boundary(level)

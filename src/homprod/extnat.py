@@ -26,10 +26,6 @@ class ExtNat:
         self._value = value
 
     @classmethod
-    def infinity(cls) -> "ExtNat":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text: str) -> "ExtNat":
         text = text.strip()
         if text == "inf":

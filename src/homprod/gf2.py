@@ -8,7 +8,7 @@ immutable after construction, so they can be shared freely.
 One forward-elimination primitive, ``_forward``, does all elimination.
 Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
 that map directly, and one back-substitution pass over it gives the
-reduced echelon form (RREF) behind the row, column and kernel bases.
+reduced echelon form (RREF) behind the row and kernel bases.
 
 Loops over the set bits of a row word take them from the top where the
 visit order does not matter: ``j = b.bit_length() - 1``, then
@@ -274,10 +274,6 @@ class EchelonBasis:
     def bits(self) -> tuple[int, ...]:
         return self._rows
 
-    @property
-    def matrix(self) -> BinMatrix:
-        return BinMatrix(len(self._rows), self._ncols, self._rows)
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -300,11 +296,6 @@ def rank(m: BinMatrix) -> int:
 def row_space_basis(m: BinMatrix) -> EchelonBasis:
     """Echelon basis of the row space."""
     return EchelonBasis.from_rows(m.cols, m.bits)
-
-
-def column_space_basis(m: BinMatrix) -> EchelonBasis:
-    """Echelon basis of the column span, as row vectors of length ``m.rows``."""
-    return EchelonBasis.from_rows(m.rows, m.transpose().bits)
 
 
 def kernel_from_rref(rref: EchelonBasis) -> EchelonBasis:

@@ -18,9 +18,9 @@ GF(2) the Künneth theorem makes the product's homology ranks the
 convolution of the factors' ranks.  A complex built here carries its
 factors and fills its boundary ranks from that convolution on the first
 rank request, so only the factors are ever eliminated; a complex built any
-other way (``ChainComplex(...)``, a loaded bundle) eliminates its own
-boundaries, which keeps ``kunneth_ranks`` an independent prediction for
-it.
+other way (``ChainComplex(...)``, a loaded bundle) is checked for
+orthogonality and eliminates its own boundaries, which keeps
+``kunneth_ranks`` an independent prediction for it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import reduce
 from collections.abc import Sequence
 
-from .complexes import ChainComplex, _convolve, one_complex
+from .complexes import ChainComplex, _convolve, _product, one_complex
 from .extnat import ExtNat, INFINITY, as_extnat, min_or_infinity
 from .gf2 import BinMatrix
 
@@ -98,17 +98,15 @@ def tensor_product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Product complex of length ``a.m + b.m``.
 
     The boundary acts block-wise as (boundary of a) (x) identity plus
-    identity (x) (boundary of b); the result always validates.  Its
-    homology ranks are the Künneth convolution of the factors' ranks, and
-    its boundary ranks follow from them, filled on the first rank request,
-    so no product boundary is ever eliminated: only the complexes at the
+    identity (x) (boundary of b), so consecutive boundaries compose to
+    zero by construction and are not multiplied out again.  Its homology
+    ranks are the Künneth convolution of the factors' ranks, and its
+    boundary ranks follow from them, filled on the first rank request, so
+    no product boundary is ever eliminated: only the complexes at the
     bottom of a fold of products are.
     """
-    cx = ChainComplex([_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1)])
-    # A factor still waiting for its ranks passes on its own factors: the
-    # convolution is associative, and the fill then never recurses.
-    cx._factors = (a._factors or (a,)) + (b._factors or (b,))
-    return cx
+    return _product(
+        [_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1)], a, b)
 
 
 def power_complex(p: BinMatrix, a: int, b: int) -> ChainComplex:

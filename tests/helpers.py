@@ -199,6 +199,35 @@ def ref_homology_ranks(boundaries):
     return tuple(n - ranks[j] - ranks[j + 1] for j, n in enumerate(dims))
 
 
+def ref_composes_to_zero(boundaries):
+    """Whether every consecutive product A_j A_{j+1} vanishes.
+
+    Row i of the product is the XOR of the rows of A_{j+1} that row i of
+    A_j selects, taken bit by bit.
+    """
+    for left, right in zip(boundaries, boundaries[1:]):
+        if left.cols != right.rows:
+            return False
+        for i in range(left.rows):
+            acc = 0
+            for j in range(left.cols):
+                if (left.row_bits(i) >> j) & 1:
+                    acc ^= right.row_bits(j)
+            if acc:
+                return False
+    return True
+
+
+def ref_cochain(cx: ChainComplex) -> ChainComplex:
+    """Transposed boundaries in reverse order; level j maps to level m - j.
+
+    Each boundary is transposed by the local column scatter, not by the
+    library's ``transpose``.
+    """
+    return ChainComplex([BinMatrix(b.cols, b.rows, mat_columns(b))
+                         for b in reversed(cx.boundaries)])
+
+
 def _entries(m: BinMatrix):
     """(row, column) of every set entry."""
     return [(i, j) for i in range(m.rows) for j in range(m.cols) if (m.row_bits(i) >> j) & 1]

@@ -112,14 +112,16 @@ def test_verify_power_bundle(toric_bundle, capsys):
 
 
 def test_corrupted_bundle_fails_validation(toric_bundle, capsys):
-    # Flip one bit of A_2 by rewriting the alist.
+    # Swap A_2 for a same-shape matrix, one bit flipped, that breaks A_1 @ A_2 = 0.
     a2 = read_alist(toric_bundle / "A2.alist")
     bits = list(a2.bits)
     bits[0] ^= 1
     write_alist(BinMatrix(a2.rows, a2.cols, bits), toric_bundle / "A2.alist")
-    code, _, err = run(capsys, "analyze", str(toric_bundle))
-    assert code == 2
-    assert "A_1 @ A_2" in err
+    for command in ("analyze", "verify"):
+        code, out, err = run(capsys, command, str(toric_bundle))
+        assert code == 2
+        assert out == ""
+        assert err == "error: boundary product A_1 @ A_2 is nonzero\n"
 
 
 def test_manifest_dims_mismatch(toric_bundle, capsys):
@@ -165,6 +167,28 @@ def test_manifest_dims_must_list_m_plus_1_counts(toric_bundle, capsys, dims):
     assert code == 4
     assert out == ""
     assert err.startswith("error: ") and "manifest key 'dims'" in err
+
+
+@pytest.mark.parametrize("tag", ["not-a-bundle/9", "complex-bundle/2", None, 1,
+                                 ["complex-bundle/1"]])
+def test_manifest_format_must_be_the_bundle_tag(toric_bundle, capsys, tag):
+    _set_manifest(toric_bundle, "format", tag)
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "manifest key 'format'" in err
+
+
+@pytest.mark.parametrize("key", ["format", "m", "dims", "boundaries"])
+def test_manifest_missing_key_is_rejected(toric_bundle, capsys, key):
+    path = toric_bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and f"manifest missing key {key!r}" in err
 
 
 def test_manifest_must_be_an_object(toric_bundle, capsys):
@@ -225,6 +249,20 @@ def test_build_from_matrix_files(tmp_path, capsys):
     code, text, _ = run(capsys, "analyze", str(out))
     assert code == 0
     assert parse_report(text)["dims"] == [1, 2, 1]
+
+
+def test_build_rejects_matrices_that_do_not_compose_to_zero(tmp_path, capsys):
+    a1 = tmp_path / "a1.alist"
+    a2 = tmp_path / "a2.alist"
+    write_alist(BinMatrix.from_string("11"), a1)
+    write_alist(BinMatrix.from_rows([[1], [0]]), a2)
+    out = tmp_path / "bundle"
+    code, text, err = run(capsys, "build", "--matrix", str(a1), "--matrix", str(a2),
+                          "--out", str(out))
+    assert code == 2
+    assert text == ""
+    assert err == "error: boundary product A_1 @ A_2 is nonzero\n"
+    assert not out.exists()
 
 
 def test_export_css_reload_reproduces_parameters(toric_bundle, tmp_path, capsys):

@@ -32,6 +32,7 @@ from helpers import (
     random_complex,
     random_matrix,
     random_sparse,
+    ref_composes_to_zero,
     ref_homology_ranks,
     ref_one_complex_product,
     ref_rank,
@@ -70,8 +71,9 @@ def test_random_products_validate():
     for _ in range(100):
         a = random_complex(rng, m=rng.randint(1, 2), max_dim=5)
         b = one_complex(random_sparse(rng, rng.randint(1, 4), rng.randint(1, 5)))
-        cx = tensor_product(a, b)  # constructor validates
+        cx = tensor_product(a, b)
         assert cx.m == a.m + b.m
+        assert ref_composes_to_zero(cx.boundaries)
 
 
 def test_one_complex_product_block_example():
@@ -133,7 +135,9 @@ ZERO_LEVEL = ChainComplex([BinMatrix.zeros(2, 0), BinMatrix.zeros(0, 3)])
 @example((one_complex(P2), ChainComplex([P2, BinMatrix.zeros(2, 0)])))
 def test_tensor_product_matches_entrywise_reference(case):
     a, b = case
-    assert tensor_product(a, b).boundaries == ref_tensor_product(a, b)
+    boundaries = tensor_product(a, b).boundaries
+    assert boundaries == ref_tensor_product(a, b)
+    assert ref_composes_to_zero(boundaries)
 
 
 @st.composite
@@ -181,6 +185,17 @@ def test_power_eliminates_only_the_seed(monkeypatch):
     assert [cx.boundary_rank(j) for j in range(1, 5)] == \
         [ref_rank(list(m.bits)) for m in cx.boundaries]
     assert counted.call_count == 2
+
+
+def test_power_multiplies_nothing_and_its_load_checks_every_pair(tmp_path, monkeypatch):
+    # A product composes to zero by construction; a loaded bundle is checked.
+    counted = Mock(wraps=BinMatrix.__matmul__)
+    monkeypatch.setattr(BinMatrix, "__matmul__", lambda x, y: counted(x, y))
+    cx = power_complex(BinMatrix.from_string("1100 0110 0011"), 2, 2)
+    assert counted.call_count == 0
+    save_bundle(cx, tmp_path)
+    assert load_bundle(tmp_path).complex == cx
+    assert counted.call_count == cx.m - 1 == 3
 
 
 def test_deep_fold_fills_its_ranks_in_one_step():
