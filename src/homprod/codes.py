@@ -18,17 +18,25 @@ class InvalidSpec(ValueError):
 
 @dataclass(frozen=True)
 class CssCode:
-    """Orthogonal generator pair acting on ``n = g_x.cols`` qubits."""
+    """Orthogonal generator pair acting on ``n = g_x.cols`` qubits.
+
+    ``CssCode(...)`` checks both the shapes and the orthogonality; a code
+    cut from a complex by ``extract_css`` is orthogonal by construction,
+    so only its shapes are checked.
+    """
 
     g_x: BinMatrix
     g_z: BinMatrix
     level: int | None = None
 
     def __post_init__(self):
-        if self.g_x.cols != self.g_z.cols:
-            raise InvalidSpec("g_x and g_z must act on the same number of qubits")
+        self._check_shapes()
         if not (self.g_x @ self.g_z.transpose()).is_zero():
             raise InvalidSpec("g_x @ g_z^T must vanish")
+
+    def _check_shapes(self) -> None:
+        if self.g_x.cols != self.g_z.cols:
+            raise InvalidSpec("g_x and g_z must act on the same number of qubits")
 
     @property
     def n(self) -> int:
@@ -58,12 +66,16 @@ class CodeParameters:
 def extract_css(c: ChainComplex, level: int) -> CssCode:
     """CSS code at a level: g_x is the boundary, g_z the transposed coboundary.
 
-    The end levels produce empty generator blocks.
+    The end levels produce empty generator blocks.  The boundaries of a
+    complex compose to zero, so the pair is not multiplied out again.
     """
     if not 0 <= level <= c.m:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
-    return CssCode(g_x=c.boundary(level), g_z=c.boundary(level + 1).transpose(),
-                   level=level)
+    code = CssCode.__new__(CssCode)
+    code.__dict__.update(g_x=c.boundary(level), g_z=c.boundary(level + 1).transpose(),
+                         level=level)
+    code._check_shapes()
+    return code
 
 
 def pair_parameters(h: BinMatrix, g: BinMatrix, *, cap: int = DEFAULT_KERNEL_CAP,

@@ -6,9 +6,11 @@ of level j is (A_j, A_{j+1}^T): cycles that are not boundaries.  Its
 cohomology side is the same pair swapped, and a CSS code's two sides are
 (g_x, g_z) and (g_z, g_x).  ``_min_nontrivial`` is the one per-side
 routine; ``codes.pair_parameters`` gives both sides of a pair, and its
-``k``, from one row-space elimination per matrix: the RREF of each matrix
-is one side's image and, through ``gf2.kernel_from_rref``, the other
-side's kernel.
+``k``, from one row-space elimination per matrix, two in all: the RREF of
+each matrix is one side's image, and ``gf2.kernel_from_rref`` reads the
+other side's kernel off it with no second elimination.  A side alone,
+``homological_distance`` or ``cohomological_distance``, eliminates each
+matrix of its pair once, also two in all.
 
 The engine walks the whole kernel with a Gray code, one
 basis flip per step, and tests boundary membership only for candidates

@@ -8,16 +8,18 @@ immutable after construction, so they can be shared freely.
 One forward-elimination primitive, ``_forward``, does all elimination.
 Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
 that map directly, and one back-substitution pass over it gives the
-reduced echelon form (RREF) behind the row and kernel bases.
+reduced echelon form (RREF) of the row space.  The kernel is read off
+that RREF with no second elimination.
 
-Loops over the set bits of a row word take them from the top where the
-visit order does not matter: ``j = b.bit_length() - 1``, then
-``b ^= 1 << j``.  ``bit_length`` is O(1) and clearing the top bit shrinks
-the int, while the lowest-bit idiom (``b & -b``, ``b &= b - 1``) copies
-the full width of the word at every step, which is the whole cost on a
-wide sparse row.  ``_forward`` and the ``EchelonBasis`` invariant keep
-lowest-bit pivots: the bases, witnesses and search counts downstream
-depend on that choice, bit for bit.
+A row's pivot is its top set bit, ``b.bit_length() - 1``, which is O(1);
+the lowest-bit idiom (``b & -b``) copies the full width of the word at
+every step, which is the whole cost on a wide sparse row.  Loops over
+the set bits of a row word take them from the top for the same reason:
+``j = b.bit_length() - 1``, then ``b ^= 1 << j``, which shrinks the int.
+With top-bit pivots in the row RREF, the kernel vectors read off it
+pivot at their lowest bit, and they form the kernel's unique
+lowest-pivot RREF: the bases, witnesses and search counts downstream
+depend on that form, bit for bit.
 """
 
 from __future__ import annotations
@@ -204,12 +206,12 @@ class BinMatrix:
 
 
 def _forward(bits: Iterable[int]) -> dict[int, int]:
-    """Reduce each row at its lowest set bit until that bit is a free pivot,
+    """Reduce each row at its top set bit until that bit is a free pivot,
     where the row is stored, or the row vanishes; returns ``pivot -> row``."""
     basis: dict[int, int] = {}
     for b in bits:
         while b:
-            p = (b & -b).bit_length() - 1
+            p = b.bit_length() - 1
             r = basis.get(p)
             if r is None:
                 basis[p] = b
@@ -231,9 +233,10 @@ def _reduce(x: int, by_pivot: dict[int, int], pivot_mask: int) -> int:
 class EchelonBasis:
     """A linearly independent row set in RREF; a vector is in the span iff it reduces to 0.
 
-    Invariant: each pivot is the lowest set bit of its row, and no row has
-    another row's pivot bit set.  The constructor raises ``ValueError`` on
-    rows that break it; :meth:`from_rows` builds the basis from any rows.
+    Invariant: each row has its own pivot bit set and no other row's pivot
+    bit.  Row spaces (:meth:`from_rows`) pivot at each row's top set bit,
+    kernels (``kernel_from_rref``) at its lowest.  The constructor raises
+    ``ValueError`` on rows that break the invariant.
     """
 
     __slots__ = ("_ncols", "_rows", "_pivots", "_by_pivot", "_pivot_mask")
@@ -247,17 +250,18 @@ class EchelonBasis:
             raise ValueError("need one row per pivot, and distinct pivots")
         self._pivot_mask = sum(1 << p for p in self._by_pivot)
         for p, r in self._by_pivot.items():
-            if (r & -r).bit_length() - 1 != p or r & self._pivot_mask != 1 << p:
+            if r & self._pivot_mask != 1 << p:
                 raise ValueError(f"row with pivot {p} is not in reduced echelon form")
 
     @classmethod
     def from_rows(cls, ncols: int, bits: Iterable[int]) -> "EchelonBasis":
-        """RREF of the span of ``bits`` (unique to the span): a forward pass,
-        then back-substitution in decreasing pivot order by reduced rows."""
+        """RREF of the span of ``bits`` with top-bit pivots (unique to the span):
+        a forward pass, then back-substitution in increasing pivot order by
+        the rows already reduced."""
         basis = _forward(bits)
         pivots = sorted(basis)
         done = 0
-        for p in reversed(pivots):
+        for p in pivots:
             basis[p] = _reduce(basis[p], basis, done)
             done |= 1 << p
         return cls(ncols, [basis[p] for p in pivots], pivots)
@@ -300,7 +304,13 @@ def row_space_basis(m: BinMatrix) -> EchelonBasis:
 
 def kernel_from_rref(rref: EchelonBasis) -> EchelonBasis:
     """Echelon basis of ``{x : r . x = 0 for every row r of rref}``, read off the RREF:
-    the kernel of every matrix whose row space ``rref`` spans."""
+    the kernel of every matrix whose row space ``rref`` spans.
+
+    Free column f gives v_f = e_f + the sum of e_p over the pivots p whose
+    row has bit f set.  Each such p is above f, since a row's pivot is its
+    top bit, so v_f pivots at its lowest bit f, which no other v has set:
+    the v_f are the kernel's unique lowest-pivot RREF, with no elimination.
+    """
     free = {f: 1 << f for f in range(rref.ncols)}
     # Free column f of the RREF row with pivot p puts p into f's vector.
     for p, r in zip(rref.pivot_cols, rref.bits):
@@ -311,7 +321,7 @@ def kernel_from_rref(rref: EchelonBasis) -> EchelonBasis:
             f = r.bit_length() - 1
             free[f] |= bit
             r ^= 1 << f
-    return EchelonBasis.from_rows(rref.ncols, free.values())
+    return EchelonBasis(rref.ncols, free.values(), free)
 
 
 def kernel_basis(m: BinMatrix) -> EchelonBasis:
@@ -323,17 +333,18 @@ def solve(m: BinMatrix, y) -> int | None:
     """Some ``x`` with ``m @ x = y``, or ``None`` when ``y`` is outside the column span.
 
     ``y`` may be an int bitset or an iterable of 0/1 of length ``m.rows``.
+    Which particular solution comes back is not specified.
     """
     ym = _as_mask(y, m.rows)
-    shift = m.rows
-    low_mask = (1 << shift) - 1
-    # Eliminate the columns of m, each tagged with the combination that
-    # built it.  Rows whose column part vanishes land on tag pivots, which
-    # the reduction of ``y`` never reaches.
-    basis = _forward(col | 1 << (shift + k) for k, col in enumerate(m.transpose().bits))
-    while ym & low_mask:
-        r = basis.get((ym & -ym).bit_length() - 1)
+    shift = m.cols
+    # Eliminate the columns of m, shifted above low tag bits that record the
+    # combination that built each row.  Rows whose column part vanishes
+    # pivot on a tag bit, which the reduction of ``y`` never reaches.
+    basis = _forward(col << shift | 1 << k for k, col in enumerate(m.transpose().bits))
+    ym <<= shift
+    while ym.bit_length() > shift:
+        r = basis.get(ym.bit_length() - 1)
         if r is None:
             return None
         ym ^= r
-    return ym >> shift
+    return ym

@@ -31,6 +31,18 @@ def ref_echelon(rows):
     return [r for _, r in basis], [p for p, _ in basis]
 
 
+def ref_top_echelon(rows, ncols):
+    """RREF with each pivot the top set bit of its row: ``ref_echelon`` over
+    the rows with their ``ncols`` bits reversed, reversed back; returns
+    (rows, pivots) sorted by pivot."""
+    def flip(b):
+        return int(format(b, f"0{ncols}b")[::-1], 2)
+
+    reduced, pivots = ref_echelon([flip(b) for b in rows])
+    pairs = sorted((ncols - 1 - p, flip(r)) for p, r in zip(pivots, reduced))
+    return [r for _, r in pairs], [p for p, _ in pairs]
+
+
 def ref_rank(rows):
     return len(ref_echelon(rows)[1])
 

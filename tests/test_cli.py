@@ -15,6 +15,7 @@ import homprod
 from homprod import (
     BinMatrix,
     CssCode,
+    InvalidSpec,
     complexes,
     css_parameters,
     distance,
@@ -275,6 +276,27 @@ def test_export_css_reload_reproduces_parameters(toric_bundle, tmp_path, capsys)
     reloaded = css_parameters(CssCode(g_x=g_x, g_z=g_z))
     assert (reloaded.n, reloaded.k) == (18, 2)
     assert reloaded.d == 3
+
+
+def test_export_css_trusts_the_loaded_complex(tmp_path, capsys, monkeypatch):
+    # The load checks the 4D complex's 3 consecutive products; the code cut
+    # from it is orthogonal by construction, so only g_z's one transpose
+    # is left, and no product is checked again.
+    out = tmp_path / "t4"
+    assert run(capsys, "power", "--ensemble", "rep:3", "--a", "2", "--b", "2",
+               "--out", str(out))[0] == 0
+    matmuls = Mock(wraps=BinMatrix.__matmul__)
+    transposes = Mock(wraps=BinMatrix.transpose)
+    monkeypatch.setattr(BinMatrix, "__matmul__", lambda x, y: matmuls(x, y))
+    monkeypatch.setattr(BinMatrix, "transpose", lambda x: transposes(x))
+    code, _, _ = run(capsys, "export-css", str(out), "--level", "2",
+                     "--out", str(tmp_path / "css"))
+    assert code == 0
+    assert (matmuls.call_count, transposes.call_count) == (3, 1)
+    # A pair given from outside keeps the full check.
+    g_x = read_alist(tmp_path / "css" / "gx.alist")
+    with pytest.raises(InvalidSpec):
+        CssCode(g_x=g_x, g_z=BinMatrix.identity(g_x.cols))
 
 
 def test_deterministic_output(toric_bundle, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from unittest.mock import Mock
 
@@ -31,7 +32,7 @@ from homprod import (
     tensor_product,
 )
 from helpers import random_complex, random_product_complex
-from homprod.report import distance_levels
+from homprod.report import distance_levels, render
 
 
 def test_extract_css_orthogonality():
@@ -210,21 +211,25 @@ def _count_eliminations(monkeypatch):
 
 
 def test_a_pair_eliminates_each_matrix_once(monkeypatch):
-    # Both sides of a pair share one row RREF per matrix, and each RREF
-    # gives one kernel: 4 RREFs.  A code is given by rows (no transpose);
-    # a level transposes A_{j+1} only.
+    # Both sides of a pair share one row RREF per matrix, and each kernel
+    # is read off an RREF with no elimination: 2 RREFs.  A code is given by
+    # rows (no transpose); a level transposes A_{j+1} only.  One side alone
+    # eliminates each matrix of its pair once.
     cx = power_complex(repetition_circulant(3), 1, 1)
     codes = [extract_css(cx, j) for j in range(cx.m + 1)]
     rrefs, transposes = _count_eliminations(monkeypatch)
     for j, code in enumerate(codes):
         del rrefs[:], transposes[:]
         params = css_parameters(code)
-        assert (len(rrefs), len(transposes)) == (4, 0)
+        assert (len(rrefs), len(transposes)) == (2, 0)
         del rrefs[:], transposes[:]
         (entry,), _ = distance_levels(cx, [j], DEFAULT_KERNEL_CAP, 1)
-        assert (len(rrefs), len(transposes)) == (4, 1)
+        assert (len(rrefs), len(transposes)) == (2, 1)
         assert transposes == [cx.boundary(j + 1).shape]
         assert entry["k"] == params.k
+        del rrefs[:]
+        homological_distance(cx, j)
+        assert len(rrefs) == 2
 
 
 def test_parameters_reuse_the_code_and_the_side_kernels(monkeypatch):
@@ -249,3 +254,61 @@ def test_parameters_reuse_the_code_and_the_side_kernels(monkeypatch):
     assert (params.n, params.k, params.z.value, params.x.value, params.d) == (18, 2, 3, 3, 3)
     assert matmuls == []
     assert ranks.call_count == 0
+
+
+# Per level of each complex: k, then (d, upper, enumerated, kernel_dim,
+# witness as an int) for the homology and cohomology sides, and the
+# SHA-256 of the rendered entries, as recorded before the row RREF moved
+# to top-bit pivots.  The kernels read off it, and so every walk, witness
+# and interval, must not move.
+PINNED_DISTANCE_LEVELS = {
+    ("rep:3", 0, 1, 1): ("c3de656bbf02d6d0e235a39a94b9529ac95034d7c1025a221a8a10f92ad1cfd1", [
+        (1, (1, 1, 0, 9, 1), (9, 9, 1, 1, 511)),
+        (2, (3, 3, 1023, 10, 7), (3, 3, 1023, 10, 292)),
+        (1, (9, 9, 1, 1, 511), (1, 1, 0, 9, 1)),
+    ]),
+    ("rep:4", 0, 1, 1): ("386b01e32e78a3284819c1eee073782d4180cf3fa3aa83e03b1ee4bfb0077000", [
+        (1, (1, 1, 0, 16, 1), (16, 16, 1, 1, 65535)),
+        (2, (4, 4, 131071, 17, 15), (4, 4, 131071, 17, 34952)),
+        (1, (16, 16, 1, 1, 65535), (1, 1, 0, 16, 1)),
+    ]),
+    ("rep:3", 0, 2, 1): ("837565ede7afe8daa9f125320f843f809112a2170293645d4bd5e60b7226993f", [
+        (1, (1, 1, 0, 27, 1), (27, 27, 1, 1, 134217727)),
+        (3, (None, 3, None, 55, None), (None, 9, None, 29, None)),
+        (3, (None, 9, None, 29, None), (None, 3, None, 55, None)),
+        (1, (27, 27, 1, 1, 134217727), (1, 1, 0, 27, 1)),
+    ]),
+    ("gallager:2,4,8", 3, 1, 2): ("703e06f67409b554e7363fcd9c5491e074e3113432602a9dd02c3f91e50422f1", [
+        (25, (1, 1, 0, 256, 1),
+         (16, 16, 33554431, 25,
+          485279068933596312992138262361648413567172318643766832917945438441984)),
+        (135, (None, 2, None, 537, None), (None, 4, None, 366, None)),
+        (51, (None, 8, None, 174, None), (None, 2, None, 453, None)),
+        (5, (32, 32, 31, 5, 1208907372870559760056320), (1, 1, 0, 128, 1)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DISTANCE_LEVELS),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_distance_levels_are_pinned(case):
+    spec, seed, a, b = case
+    digest, expected = PINNED_DISTANCE_LEVELS[case]
+    cx = power_complex(generate_matrix(EnsembleSpec.parse(spec, seed=seed)), a, b)
+    entries, _ = distance_levels(cx, list(range(cx.m + 1)), DEFAULT_KERNEL_CAP, 1)
+
+    def plain(v):
+        return v if v is None else v.finite_value if v.is_finite else "inf"
+
+    levels = []
+    for e in entries:
+        j = e["j"]
+        params = codes.pair_parameters(cx.boundary(j), cx.boundary(j + 1).transpose())
+        sides = []
+        for side, result in ((e["homology"], params.z), (e["cohomology"], params.x)):
+            w = side["witness"]
+            sides.append((plain(side["d"]), plain(side["upper"]), side.get("enumerated"),
+                          result.kernel_dim, None if w is None else int(w[::-1], 2)))
+        levels.append((e["k"], *sides))
+    assert levels == expected
+    assert hashlib.sha256(render({"levels": entries}).encode()).hexdigest() == digest

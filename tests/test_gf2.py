@@ -24,6 +24,7 @@ from helpers import (
     ref_echelon,
     ref_rank,
     ref_reduce,
+    ref_top_echelon,
 )
 
 
@@ -77,6 +78,24 @@ def test_kernel_zero_matrix():
     basis = kernel_basis(BinMatrix.zeros(3, 5))
     assert len(basis) == 5
     assert sorted(basis.bits) == [1 << i for i in range(5)]
+
+
+def test_kernel_is_read_off_the_rref_without_elimination(monkeypatch):
+    from homprod import gf2
+
+    m = BinMatrix.from_string("1011001 0110100 1101101")
+    rref = row_space_basis(m)
+
+    def no_elimination(*args):
+        raise AssertionError("kernel_from_rref eliminated")
+
+    monkeypatch.setattr(gf2, "_forward", no_elimination)
+    monkeypatch.setattr(EchelonBasis, "from_rows", classmethod(no_elimination))
+    kernel = gf2.kernel_from_rref(rref)
+    assert len(kernel) == m.cols - len(rref)
+    assert all(m.mul_vec(v) == 0 for v in kernel.bits)
+    # Each kernel vector pivots at its lowest set bit.
+    assert [(v & -v).bit_length() - 1 for v in kernel.bits] == list(kernel.pivot_cols)
 
 
 def test_solve_identity():
@@ -175,11 +194,12 @@ def test_solve_length_violation():
 
 
 def test_echelon_basis_rejects_non_reduced_rows():
-    EchelonBasis(3, [0b001, 0b110], [0, 1])
+    EchelonBasis(3, [0b001, 0b110], [0, 1])  # lowest-bit pivots, as in a kernel
+    EchelonBasis(3, [0b001, 0b110], [0, 2])  # top-bit pivots, as in a row space
     with pytest.raises(ValueError):
         EchelonBasis(3, [0b011, 0b010], [0, 1])  # row 0 holds pivot bit 1
     with pytest.raises(ValueError):
-        EchelonBasis(3, [0b110], [2])  # pivot is not the lowest set bit
+        EchelonBasis(3, [0b110], [0])  # row lacks its own pivot bit
     with pytest.raises(ValueError):
         EchelonBasis(3, [0b001, 0b011], [0, 0])  # repeated pivot
     with pytest.raises(ValueError):
@@ -242,11 +262,11 @@ def test_property_rank(m):
 @given(matrices())
 @edge_shapes()
 def test_property_row_and_column_space_bases(m):
-    rows, pivots = ref_echelon(list(m.bits))
+    rows, pivots = ref_top_echelon(list(m.bits), m.cols)
     basis = row_space_basis(m)
     assert (list(basis.bits), list(basis.pivot_cols)) == (rows, pivots)
     # The column space is the row space of the transpose.
-    rows, pivots = ref_echelon(columns_as_masks(list(m.bits), m.cols))
+    rows, pivots = ref_top_echelon(columns_as_masks(list(m.bits), m.cols), m.rows)
     basis = row_space_basis(m.transpose())
     assert (list(basis.bits), list(basis.pivot_cols)) == (rows, pivots)
 
@@ -289,7 +309,7 @@ def test_property_solve(m, v):
 @edge_shapes([0b1011, 0b0110])
 def test_property_echelon_basis_membership(m, xs):
     basis = row_space_basis(m)
-    ref = ref_echelon(list(m.bits))
+    ref = ref_top_echelon(list(m.bits), m.cols)
     for x in (x & ((1 << m.cols) - 1) for x in xs):
         assert basis.reduce(x) == ref_reduce(ref, x)
         assert (x in basis) == (ref_reduce(ref, x) == 0)
