@@ -35,14 +35,12 @@ from .products import (
 from .codes import (
     CodeParameters,
     CssCode,
-    EnsembleSpec,
     InvalidSpec,
     css_parameters,
+    ensemble_matrix,
     extract_css,
     gallager_matrix,
-    generate_matrix,
     repetition_circulant,
-    repetition_parity,
     sparsity,
 )
 from .alist import (
@@ -63,7 +61,6 @@ __all__ = [
     "DimensionMismatch",
     "DistanceResult",
     "EchelonBasis",
-    "EnsembleSpec",
     "ExtNat",
     "INFINITY",
     "InconsistentWeights",
@@ -76,9 +73,9 @@ __all__ = [
     "css_parameters",
     "distance_upper_bound",
     "dumps_alist",
+    "ensemble_matrix",
     "extract_css",
     "gallager_matrix",
-    "generate_matrix",
     "homological_distance",
     "kernel_basis",
     "kunneth_ranks",
@@ -90,7 +87,6 @@ __all__ = [
     "rank",
     "read_alist",
     "repetition_circulant",
-    "repetition_parity",
     "row_space_basis",
     "solve",
     "sparsity",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .alist import ParseError, _write_text_atomic, read_alist, write_alist
 from .bundle import load_bundle, save_bundle
-from .codes import EnsembleSpec, InvalidSpec, extract_css, generate_matrix
+from .codes import InvalidSpec, ensemble_matrix, extract_css
 from .complexes import ChainComplex, LevelOutOfRange, NotOrthogonal, one_complex
 from .distance import DEFAULT_KERNEL_CAP
 from .gf2 import DimensionMismatch
@@ -56,17 +56,17 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _ensemble_matrix(args, parser):
+def _seed_matrix(args, parser):
     """The ``--ensemble`` seed matrix, or None under ``--matrix``; exactly one is required."""
     if bool(args.matrix) == bool(args.ensemble):
         parser.error("exactly one of --matrix or --ensemble is required")
     if args.matrix:
         return None
-    return generate_matrix(EnsembleSpec.parse(args.ensemble, seed=args.seed))
+    return ensemble_matrix(args.ensemble, seed=args.seed)
 
 
 def cmd_build(args, parser) -> int:
-    p = _ensemble_matrix(args, parser)
+    p = _seed_matrix(args, parser)
     if p is None:
         cx = ChainComplex([read_alist(f) for f in args.matrix])
         source = {"kind": "matrices", "files": [str(f) for f in args.matrix]}
@@ -95,7 +95,7 @@ def cmd_product(args, parser) -> int:
 
 
 def cmd_power(args, parser) -> int:
-    p = _ensemble_matrix(args, parser)
+    p = _seed_matrix(args, parser)
     source = {"kind": "power", "a": args.a, "b": args.b, "matrix": "seed.alist"}
     if p is None:
         if len(args.matrix) > 1:
@@ -191,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="bundle a complex from matrix files or an ensemble")
     p.add_argument("--matrix", action="append", default=[],
                    help="alist file; repeat for A_1..A_m in order")
-    p.add_argument("--ensemble", help="gallager:v,w,c | rep:L | id:n | file:PATH")
+    p.add_argument("--ensemble", help="gallager:v,w,c | rep:L | id:n; "
+                   "a matrix in a file goes through --matrix")
     p.add_argument("--out", required=True)
     add_common(p, seed=True)
     p.set_defaults(func=cmd_build)
@@ -204,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="product of copies of K(P) and K(P^T)")
     p.add_argument("--matrix", action="append", default=[], help="seed alist file")
-    p.add_argument("--ensemble", help="gallager:v,w,c | rep:L | id:n | file:PATH")
+    p.add_argument("--ensemble", help="gallager:v,w,c | rep:L | id:n; "
+                   "a seed in a file goes through --matrix")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -1,4 +1,8 @@
-"""CSS code extraction, parameter reports, and seed-matrix ensembles."""
+"""CSS codes and their parameters, and seed-matrix ensembles.
+
+``css_parameters`` is the one call for both distance sides of a CSS code,
+and ``ensemble_matrix`` the one parser of an ensemble spec.
+"""
 
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ class CssCode:
 
     g_x: BinMatrix
     g_z: BinMatrix
-    level: int | None = None
 
     def __post_init__(self):
         self._check_shapes()
@@ -45,12 +48,11 @@ class CssCode:
 
 @dataclass(frozen=True)
 class CodeParameters:
-    """[[n, k, d]] of a row-given pair (h, g), with both sides as engine results.
+    """[[n, k, d]] of a CSS code, with both distance sides as engine results.
 
-    ``z`` is the homology side (Ker h off the row span of g) and ``x`` the
-    cohomology side (the pair swapped); for a CSS code h is g_x and g is
-    g_z.  ``d`` is the lower end of the lighter side, so it is the
-    distance when both sides are exact.
+    ``z`` is the homology side and ``x`` the cohomology side; ``d`` is the
+    lower end of the lighter side, so it is the distance when both sides
+    are exact.
     """
 
     n: int
@@ -72,73 +74,55 @@ def extract_css(c: ChainComplex, level: int) -> CssCode:
     if not 0 <= level <= c.m:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
     code = CssCode.__new__(CssCode)
-    code.__dict__.update(g_x=c.boundary(level), g_z=c.boundary(level + 1).transpose(),
-                         level=level)
+    code.__dict__.update(g_x=c.boundary(level), g_z=c.boundary(level + 1).transpose())
     code._check_shapes()
     return code
 
 
-def pair_parameters(h: BinMatrix, g: BinMatrix, *, cap: int = DEFAULT_KERNEL_CAP,
-                    workers: int = 1) -> CodeParameters:
-    """Both sides of the row-given pair (h, g) and k = dim Ker h + dim Ker g - n.
+def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP, *,
+                   workers: int = 1) -> CodeParameters:
+    """n, k and both distance sides of the pair (g_x, g_z); a side past the cap is an interval.
 
-    Each matrix is eliminated once; its RREF is one side's image and
-    yields the other side's kernel.  Each side is one call of the engine's
-    per-side routine, looked up on its module.
+    ``z`` is the lightest vector of Ker g_x off the row span of g_z, ``x``
+    the same with g_x and g_z swapped, and ``k`` is dim Ker g_x + dim
+    Ker g_z - n.  Each generator matrix is eliminated once; its RREF is
+    one side's image and yields the other side's kernel.  Each side is one
+    call of the engine's per-side routine, looked up on its module.  Level
+    j of a complex is the code ``extract_css(c, j)``.
     """
+    h, g = code.g_x, code.g_z
     h_rows, g_rows = row_space_basis(h), row_space_basis(g)
     side = distance._min_nontrivial
     z = side(h, kernel_from_rref(h_rows), g_rows, cap=cap, workers=workers)
     x = side(g, kernel_from_rref(g_rows), h_rows, cap=cap, workers=workers)
-    return CodeParameters(n=h.cols, k=z.kernel_dim + x.kernel_dim - h.cols, z=z, x=x)
+    return CodeParameters(n=code.n, k=z.kernel_dim + x.kernel_dim - code.n, z=z, x=x)
 
 
-def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP) -> CodeParameters:
-    """n, k and both distance sides of the pair (g_x, g_z); a side past the cap is an interval.
+def ensemble_matrix(text: str, seed: int = 0) -> BinMatrix:
+    """The seed matrix of an ensemble spec: ``gallager:v,w,c`` | ``rep:L`` | ``id:n``.
 
-    ``z`` is the lightest vector of Ker g_x off the row span of g_z, ``x``
-    the same with g_x and g_z swapped; each generator matrix is eliminated
-    once, and ``k`` comes from the two kernels.
+    Deterministic given the spec and ``seed``, which only ``gallager``
+    reads.  A malformed spec or an unknown kind raises ``InvalidSpec``; a
+    seed matrix in a file is read with ``alist.read_alist``.
     """
-    return pair_parameters(code.g_x, code.g_z, cap=cap)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Seed-matrix recipe: kind plus the parameters that kind needs.
-
-    Kinds: ``gallager`` (regular col_weight/row_weight/cols ensemble),
-    ``rep`` (circulant repetition, size L), ``id`` (identity, size n),
-    ``file`` (path to an alist file).
-    """
-
-    kind: str
-    col_weight: int = 0
-    row_weight: int = 0
-    cols: int = 0
-    size: int = 0
-    path: str = ""
-    seed: int = 0
-
-    @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "EnsembleSpec":
-        """Parse CLI syntax: ``gallager:v,w,c`` | ``rep:L`` | ``id:n`` | ``file:PATH``."""
-        kind, sep, arg = text.partition(":")
-        if not sep:
-            raise InvalidSpec(f"malformed ensemble spec {text!r}")
-        try:
-            if kind == "gallager":
-                v, w, c = (int(t) for t in arg.split(","))
-                return cls(kind="gallager", col_weight=v, row_weight=w, cols=c, seed=seed)
-            if kind == "rep":
-                return cls(kind="rep", size=int(arg), seed=seed)
-            if kind == "id":
-                return cls(kind="id", size=int(arg), seed=seed)
-            if kind == "file":
-                return cls(kind="file", path=arg, seed=seed)
-        except ValueError as exc:
-            raise InvalidSpec(f"malformed ensemble spec {text!r}") from exc
+    kind, sep, arg = text.partition(":")
+    arity = {"gallager": 3, "rep": 1, "id": 1}.get(kind)
+    if sep and arity is None:
         raise InvalidSpec(f"unknown ensemble kind {kind!r}")
+    try:
+        params = [int(t) for t in arg.split(",")]
+    except ValueError:
+        params = []
+    if len(params) != arity:
+        raise InvalidSpec(f"malformed ensemble spec {text!r}")
+    if kind == "gallager":
+        return gallager_matrix(*params, seed)
+    (size,) = params
+    if kind == "rep":
+        return repetition_circulant(size)
+    if size <= 0:
+        raise InvalidSpec("identity size must be positive")
+    return BinMatrix.identity(size)
 
 
 def gallager_matrix(col_weight: int, row_weight: int, cols: int, seed: int = 0) -> BinMatrix:
@@ -174,31 +158,6 @@ def repetition_circulant(size: int) -> BinMatrix:
         raise InvalidSpec("circulant size must be positive")
     bits = [(1 << i) | (1 << ((i + 1) % size)) for i in range(size)]
     return BinMatrix(size, size, bits)
-
-
-def repetition_parity(size: int) -> BinMatrix:
-    """(L-1) x L full-row-rank repetition parity check: ones at (i, i), (i, i+1)."""
-    if size <= 1:
-        raise InvalidSpec("repetition length must be at least 2")
-    bits = [(1 << i) | (1 << (i + 1)) for i in range(size - 1)]
-    return BinMatrix(size - 1, size, bits)
-
-
-def generate_matrix(spec: EnsembleSpec) -> BinMatrix:
-    """Materialize a seed matrix; deterministic given the spec and its seed."""
-    if spec.kind == "gallager":
-        return gallager_matrix(spec.col_weight, spec.row_weight, spec.cols, spec.seed)
-    if spec.kind == "rep":
-        return repetition_circulant(spec.size)
-    if spec.kind == "id":
-        if spec.size <= 0:
-            raise InvalidSpec("identity size must be positive")
-        return BinMatrix.identity(spec.size)
-    if spec.kind == "file":
-        from .alist import read_alist
-
-        return read_alist(spec.path)
-    raise InvalidSpec(f"unknown ensemble kind {spec.kind!r}")
 
 
 def sparsity(m: BinMatrix) -> tuple[int, int]:

@@ -5,10 +5,10 @@ weight over the kernel of h outside the row span of g.  The homology side
 of level j is (A_j, A_{j+1}^T): cycles that are not boundaries.  Its
 cohomology side is the same pair swapped, and a CSS code's two sides are
 (g_x, g_z) and (g_z, g_x).  ``_min_nontrivial`` is the one per-side
-routine; ``codes.pair_parameters`` gives both sides of a pair, and its
-``k``, from one row-space elimination per matrix, two in all: the RREF of
-each matrix is one side's image, and ``gf2.kernel_from_rref`` reads the
-other side's kernel off it with no second elimination.  A side alone,
+routine; ``codes.css_parameters`` gives both sides of a CSS code, and
+its ``k``, from one row-space elimination per matrix, two in all: the
+RREF of each matrix is one side's image, and ``gf2.kernel_from_rref``
+reads the other side's kernel off it with no second elimination.  A side alone,
 ``homological_distance`` or ``cohomological_distance``, eliminates each
 matrix of its pair once, also two in all.
 
@@ -21,7 +21,8 @@ all its vectors agree already reach that minimum (most blocks of a toric
 level); on levels narrower than 128 bits SWAR arithmetic on one packed
 int then weighs each remaining block's vectors at once.  A ruled-out
 block holds no candidate, so the result, witness and step count are
-those of the plain walk.  Past the kernel cap it walks nothing and
+those of the plain walk.  A nontrivial kernel basis vector of weight 1
+proves distance 1 with no walk.  Past the kernel cap it walks nothing and
 bounds the distance by the lightest nontrivial basis vector.
 
 A classical code's distance under parity check p is level 1 of its
@@ -222,13 +223,11 @@ def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis
     if dim - len(image) == 0:
         # Trivial group: every cycle is a boundary.
         return DistanceResult(INFINITY, None, 0, INFINITY, True, dim)
-    if dim == parity.cols:
-        # Zero or empty parity: every vector is a cycle, so some unit
-        # vector is nontrivial and the distance is 1.
-        for i in range(parity.cols):
-            if (1 << i) not in image:
-                return DistanceResult(ExtNat(1), 1 << i, 0, ExtNat(1), True, dim)
-        raise AssertionError("nontrivial group without a nontrivial unit vector")
+    for b in kernel.bits:
+        # A nontrivial cycle of weight 1 is a proof of distance 1 at any
+        # kernel dimension; under a zero parity the basis is e_0, e_1, ...
+        if b.bit_count() == 1 and b not in image:
+            return DistanceResult(ExtNat(1), b, 0, ExtNat(1), True, dim)
     if dim > cap:
         # The group is nontrivial, so some kernel basis vector is not a boundary.
         upper = min(b.bit_count() for b in kernel.bits if b not in image)

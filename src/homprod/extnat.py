@@ -25,13 +25,6 @@ class ExtNat:
                 raise ValueError(f"not a nonnegative integer: {value!r}")
         self._value = value
 
-    @classmethod
-    def parse(cls, text: str) -> "ExtNat":
-        text = text.strip()
-        if text == "inf":
-            return cls(None)
-        return cls(int(text))
-
     @property
     def is_finite(self) -> bool:
         return self._value is not None

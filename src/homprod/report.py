@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .codes import pair_parameters, sparsity
+from .codes import css_parameters, extract_css, sparsity
 from .complexes import ChainComplex
 from .distance import DistanceResult
 from .extnat import ExtNat
@@ -62,13 +62,12 @@ def _side_entry(result: DistanceResult, length: int) -> dict:
 def distance_levels(cx: ChainComplex, levels, cap: int, threads: int) -> tuple[list[dict], bool]:
     """Distance entries per requested level; flags whether any side hit the cap.
 
-    Level j's sides and ``k`` are those of the pair (A_j, A_{j+1}^T).
+    Level j's sides and ``k`` are those of its CSS code (A_j, A_{j+1}^T).
     """
     entries = []
     cap_hit = False
     for j in levels:
-        params = pair_parameters(cx.boundary(j), cx.boundary(j + 1).transpose(),
-                                 cap=cap, workers=threads)
+        params = css_parameters(extract_css(cx, j), cap=cap, workers=threads)
         cap_hit = cap_hit or not params.z.exact or not params.x.exact
         n = params.n
         entries.append({

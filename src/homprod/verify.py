@@ -8,7 +8,9 @@ otherwise it is an upper bound.  Distances come from the one distance
 engine, once per level of the product and once per factor level that a
 check reads (a factor equal to the other is walked once); a level whose
 result is only an interval (kernel above the cap) has its distance checks
-skipped with a note, never silently.  A missing or malformed provenance
+skipped with a note, never silently.  The product's homology ranks are
+read off the kernels of those level sides, so each loaded boundary is
+eliminated there and nowhere else.  A missing or malformed provenance
 field that the rebuild reads raises ``ParseError``.
 """
 
@@ -108,17 +110,22 @@ def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP,
     rebuilt = tensor_product(a, b)
     outcome.check(rebuilt == cx, "bundle matrices differ from the rebuilt product")
 
+    sides = [homological_distance(cx, j, cap=cap, workers=workers) for j in range(cx.m + 1)]
+    # k_j = dim Ker A_j - rank A_{j+1}, read off the kernels the sides
+    # eliminated: rank A_{j+1} = n_{j+1} - dim Ker A_{j+1}, and 0 at j = m.
+    kernels = [r.kernel_dim for r in sides] + [0]
+    dims = cx.dims + (0,)
+    k = [kernels[j] - dims[j + 1] + kernels[j + 1] for j in range(cx.m + 1)]
     for j in range(cx.m + 1):
         outcome.check(product_dimensions(a, b, j) == cx.dim(j),
                       f"level {j}: dimension prediction != actual")
-        outcome.check(kunneth_ranks(a, b, j) == cx.homology_rank(j),
+        outcome.check(kunneth_ranks(a, b, j) == k[j],
                       f"level {j}: homology rank prediction != actual")
 
-    d_c = _exact_distances(cx, cx.m + 1, cap, workers)
+    d_c = [r.value if r.exact else None for r in sides]
     # The formula at level j reads factor distances at indices 0..j, so the
     # factors are walked only up to the highest level it is checked at.
-    top = max((j for j in range(cx.m + 1) if d_c[j] is not None and cx.homology_rank(j)),
-              default=-1)
+    top = max((j for j in range(cx.m + 1) if d_c[j] is not None and k[j]), default=-1)
     d_a = _exact_distances(a, min(a.m, top) + 1, cap, workers)
     d_b = d_a if b == a else _exact_distances(b, min(b.m, top) + 1, cap, workers)
 
@@ -127,7 +134,7 @@ def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP,
         if exact is None:
             outcome.notes.append(f"level {j}: kernel above cap, distance checks skipped")
             continue
-        if cx.homology_rank(j) == 0:
+        if k[j] == 0:
             outcome.check(exact == INFINITY, f"level {j}: trivial group must be infinite")
             continue
         # The formula reads factor distances at indices 0..j.

@@ -23,6 +23,7 @@ from homprod import (
     read_alist,
     write_alist,
 )
+from homprod.bundle import load_bundle
 from homprod.cli import main
 
 
@@ -444,6 +445,59 @@ def test_power_from_matrix_file(tmp_path, capsys):
     code, text, _ = run(capsys, "verify", str(out))
     assert code == 0
     assert "violations=0" in text
+
+
+def test_weight_one_distance_is_exact_past_the_cap(tmp_path, capsys):
+    # Column 3 of p is zero, so e_3 is a nontrivial cycle: d = 1 exactly,
+    # although the kernel (dimension 2) is above the cap.
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0]]
+    seed = tmp_path / "p.alist"
+    write_alist(BinMatrix.from_rows(rows), seed)
+    out = tmp_path / "p"
+    assert run(capsys, "build", "--matrix", str(seed), "--out", str(out))[0] == 0
+    code, text, _ = run(capsys, "distance", str(out), "--level", "1", "--cap", "1")
+    assert code == 0
+    hom = parse_report(text)["levels"][0]["homology"]
+    assert {k: hom[k] for k in ("lower", "upper", "exact", "d", "enumerated")} == \
+        {"lower": 1, "upper": 1, "exact": True, "d": 1, "enumerated": 0}
+    witness = [int(c) for c in hom["witness"]]
+    assert sum(witness) == 1
+    assert all(sum(r * w for r, w in zip(row, witness)) % 2 == 0 for row in rows)
+
+
+def test_ensemble_file_kind_is_refused(toric_bundle, tmp_path, capsys):
+    code, _, err = run(capsys, "power", "--ensemble", f"file:{toric_bundle / 'seed.alist'}",
+                       "--a", "1", "--b", "1", "--out", str(tmp_path / "f"))
+    assert code == 2
+    assert "unknown ensemble kind 'file'" in err
+
+
+def test_power_from_the_seed_file_matches_the_ensemble(toric_bundle, tmp_path, capsys):
+    out = tmp_path / "toric-m"
+    assert run(capsys, "power", "--matrix", str(toric_bundle / "seed.alist"),
+               "--a", "1", "--b", "1", "--out", str(out))[0] == 0
+    for name in ("A1.alist", "A2.alist"):
+        assert (out / name).read_bytes() == (toric_bundle / name).read_bytes()
+
+
+@pytest.mark.parametrize("a, b, checks", [("1", "1", 11), ("2", "2", 13)])
+def test_verify_reads_k_off_the_level_kernels(tmp_path, capsys, monkeypatch, a, b, checks):
+    out = tmp_path / "toric"
+    assert run(capsys, "power", "--ensemble", "rep:3", "--a", a, "--b", b,
+               "--out", str(out))[0] == 0
+    own = load_bundle(out).complex.boundaries
+    ranked = []
+    rank = complexes.rank
+
+    def record(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", record)
+    code, text, _ = run(capsys, "verify", str(out))
+    assert code == 0
+    assert text.endswith(f"checks={checks} violations=0\n")
+    assert [m.shape for m in ranked if m in own] == []
 
 
 def test_distance_takes_k_from_the_engine_kernels(toric_bundle, capsys, monkeypatch):

@@ -13,21 +13,19 @@ from homprod import (
     DEFAULT_KERNEL_CAP,
     BinMatrix,
     EchelonBasis,
-    EnsembleSpec,
     INFINITY,
     InvalidSpec,
     css_parameters,
     extract_css,
     gallager_matrix,
     cohomological_distance,
-    generate_matrix,
+    ensemble_matrix,
     homological_distance,
     kunneth_ranks,
     one_complex,
     power_complex,
     rank,
     repetition_circulant,
-    repetition_parity,
     sparsity,
     tensor_product,
 )
@@ -108,13 +106,6 @@ def test_circulant_repetition_properties():
     assert homological_distance(cx, 1).value == 3
 
 
-def test_repetition_parity_full_rank_form():
-    p = repetition_parity(3)
-    assert p.shape == (2, 3)
-    assert rank(p) == 2
-    assert one_complex(p).homology_ranks() == (0, 1)
-
-
 def test_identity_ensemble_distance():
     assert homological_distance(one_complex(BinMatrix.identity(4)), 1).value == INFINITY
 
@@ -141,18 +132,13 @@ def test_gallager_rejects_bad_divisibility():
         gallager_matrix(0, 4, 8)
 
 
-def test_ensemble_spec_parsing():
-    spec = EnsembleSpec.parse("gallager:3,4,16", seed=9)
-    assert (spec.col_weight, spec.row_weight, spec.cols, spec.seed) == (3, 4, 16, 9)
-    assert generate_matrix(spec).shape == (12, 16)
-    assert generate_matrix(EnsembleSpec.parse("rep:5")) == repetition_circulant(5)
-    assert generate_matrix(EnsembleSpec.parse("id:4")) == BinMatrix.identity(4)
-    with pytest.raises(InvalidSpec):
-        EnsembleSpec.parse("gallager:3,4")
-    with pytest.raises(InvalidSpec):
-        EnsembleSpec.parse("nonsense:1")
-    with pytest.raises(InvalidSpec):
-        EnsembleSpec.parse("rep")
+def test_ensemble_matrix_parsing():
+    assert ensemble_matrix("gallager:3,4,16", seed=9) == gallager_matrix(3, 4, 16, 9)
+    assert ensemble_matrix("rep:5") == repetition_circulant(5)
+    assert ensemble_matrix("id:4") == BinMatrix.identity(4)
+    for text in ("gallager:3,4", "nonsense:1", "rep", "rep:x", "file:a.alist"):
+        with pytest.raises(InvalidSpec):
+            ensemble_matrix(text)
 
 
 def test_sparsity_examples():
@@ -294,7 +280,7 @@ PINNED_DISTANCE_LEVELS = {
 def test_distance_levels_are_pinned(case):
     spec, seed, a, b = case
     digest, expected = PINNED_DISTANCE_LEVELS[case]
-    cx = power_complex(generate_matrix(EnsembleSpec.parse(spec, seed=seed)), a, b)
+    cx = power_complex(ensemble_matrix(spec, seed=seed), a, b)
     entries, _ = distance_levels(cx, list(range(cx.m + 1)), DEFAULT_KERNEL_CAP, 1)
 
     def plain(v):
@@ -303,7 +289,7 @@ def test_distance_levels_are_pinned(case):
     levels = []
     for e in entries:
         j = e["j"]
-        params = codes.pair_parameters(cx.boundary(j), cx.boundary(j + 1).transpose())
+        params = css_parameters(extract_css(cx, j))
         sides = []
         for side, result in ((e["homology"], params.z), (e["cohomology"], params.x)):
             w = side["witness"]

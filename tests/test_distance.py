@@ -83,6 +83,26 @@ def test_level0_infinite_at_full_row_rank():
     assert homological_distance(cx, 0).value == INFINITY
 
 
+@pytest.mark.parametrize("rows, image_cols, witness", [
+    # Column 3 is zero: e_3 is a cycle and, with no image, not a boundary.
+    ([[1, 1, 0, 0], [0, 1, 1, 0]], None, 1 << 3),
+    # Columns 2 and 3 are zero, but e_2 is a boundary, so e_3 is the witness.
+    ([[1, 1, 0, 0]], [[0, 0, 1, 0]], 1 << 3),
+])
+def test_weight_one_cycle_is_exact_past_the_cap(rows, image_cols, witness):
+    boundaries = [BinMatrix.from_rows(rows)]
+    if image_cols is not None:
+        boundaries.append(BinMatrix.from_rows(image_cols).transpose())
+    cx = ChainComplex(boundaries)
+    assert naive_level_distance(cx, 1) == 1
+    # A unit vector on a zero column is a cycle.
+    assert all(row[witness.bit_length() - 1] == 0 for row in rows)
+    for cap in (0, 1, 28):
+        result = homological_distance(cx, 1, cap=cap)
+        assert (result.value, result.upper, result.exact) == (1, 1, True)
+        assert (result.witness, result.enumerated) == (witness, 0)
+
+
 def test_top_level_equals_classical_distance():
     rng = random.Random(300)
     for _ in range(20):
@@ -200,10 +220,9 @@ def test_enumerated_counts_full_walk():
         if cx.homology_rank(j) == 0:
             continue
         dim = len(kernel_basis(cx.boundary(j)))
-        if dim == cx.dim(j):
-            continue  # weight-1 fast path does not walk
         result = homological_distance(cx, j)
-        assert result.enumerated == 2 ** dim - 1
+        # A distance of 1 is proved by a weight-1 kernel basis vector, with no walk.
+        assert result.enumerated == (0 if naive_level_distance(cx, j) == 1 else 2 ** dim - 1)
 
 
 def test_kernel_cap():

@@ -53,7 +53,8 @@ def test_module_imports_are_used():
 # Public names deleted from the library; each must stay gone.
 REMOVED_NAMES = ("one_complex_product", "ProductLayout", "product_layout", "validate",
                  "classical_distance", "KernelTooLarge", "puncture", "shorten_parity",
-                 "IndexOutOfRange", "kron", "hstack", "vstack", "column_space_basis")
+                 "IndexOutOfRange", "kron", "hstack", "vstack", "column_space_basis",
+                 "EnsembleSpec", "generate_matrix", "repetition_parity")
 
 
 def test_public_names_resolve_once_and_removed_ones_stay_gone():
