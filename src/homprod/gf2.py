@@ -123,9 +123,6 @@ class BinMatrix:
         """Row bitsets (bit ``j`` of entry ``i`` is the (i, j) matrix entry)."""
         return self._bits
 
-    def row_bits(self, i: int) -> int:
-        return self._bits[i]
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self._nrows and 0 <= j < self._ncols):
@@ -183,9 +180,6 @@ class BinMatrix:
                 w[j] += 1
                 b ^= 1 << j
         return w
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(b >> j) & 1 for j in range(self._ncols)] for b in self._bits]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinMatrix):

@@ -76,7 +76,7 @@ def mat_columns(m: BinMatrix):
     """Columns of a BinMatrix as masks over its rows (local scatter, no transpose)."""
     cols = [0] * m.cols
     for i in range(m.rows):
-        b = m.row_bits(i)
+        b = m.bits[i]
         while b:
             j = (b & -b).bit_length() - 1
             cols[j] |= 1 << i
@@ -223,8 +223,8 @@ def ref_composes_to_zero(boundaries):
         for i in range(left.rows):
             acc = 0
             for j in range(left.cols):
-                if (left.row_bits(i) >> j) & 1:
-                    acc ^= right.row_bits(j)
+                if (left.bits[i] >> j) & 1:
+                    acc ^= right.bits[j]
             if acc:
                 return False
     return True
@@ -242,12 +242,12 @@ def ref_cochain(cx: ChainComplex) -> ChainComplex:
 
 def _entries(m: BinMatrix):
     """(row, column) of every set entry."""
-    return [(i, j) for i in range(m.rows) for j in range(m.cols) if (m.row_bits(i) >> j) & 1]
+    return [(i, j) for i in range(m.rows) for j in range(m.cols) if (m.bits[i] >> j) & 1]
 
 
 def naive_level_distance(cx: ChainComplex, j: int):
     """Naive oracle applied to a complex level (use only for small n_j)."""
-    parity = [cx.boundary(j).row_bits(i) for i in range(cx.boundary(j).rows)]
+    parity = list(cx.boundary(j).bits)
     image_cols = mat_columns(cx.boundary(j + 1))
     return naive_distance(parity, cx.dim(j), image_cols)
 

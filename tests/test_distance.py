@@ -350,7 +350,7 @@ def test_pool_size_is_bounded(monkeypatch, workers, cpus, pool_size):
 
 
 @settings(max_examples=60, deadline=None)
-@given(width=st.integers(1, 140), dim=st.integers(0, 12), block_bits=st.sampled_from([2, 3, 10]),
+@given(width=st.integers(1, 140), dim=st.integers(0, 12), block_bits=st.sampled_from([2, 3, 8, 10]),
        density=st.sampled_from([0.05, 0.2, 0.5]), images=st.integers(0, 4),
        offset=st.booleans(), stop=st.sampled_from([None, 1, 2, "d"]),
        seed=st.integers(0, 2**32 - 1), rref=st.booleans())
@@ -365,6 +365,10 @@ def test_pool_size_is_bounded(monkeypatch, workers, cpus, pool_size):
 @example(width=300, dim=8, block_bits=2, density=0.02, images=1, offset=False, stop=1, seed=5, rref=False)
 @example(width=7, dim=6, block_bits=2, density=0.5, images=4, offset=True, stop=None, seed=6, rref=False)
 @example(width=20, dim=0, block_bits=10, density=0.2, images=0, offset=True, stop=None, seed=7, rref=False)
+# Fields of 13 and 9 bytes, not a power of two: the byte sums still land
+# in each field's top byte.
+@example(width=96, dim=12, block_bits=3, density=0.2, images=2, offset=True, stop=None, seed=3, rref=False)
+@example(width=70, dim=11, block_bits=8, density=0.5, images=1, offset=False, stop="d", seed=9, rref=False)
 # These walk blocks after skipped ones, so a skip that loses track of the
 # current vector changes their result.
 @example(width=36, dim=12, block_bits=3, density=0.2, images=2, offset=True, stop=None, seed=2, rref=False)
@@ -379,6 +383,15 @@ def test_pool_size_is_bounded(monkeypatch, workers, cpus, pool_size):
 @example(width=128, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop="d", seed=1, rref=True)
 @example(width=200, dim=12, block_bits=10, density=0.05, images=2, offset=False, stop=None, seed=1, rref=True)
 @example(width=200, dim=12, block_bits=3, density=0.05, images=2, offset=False, stop="d", seed=1, rref=True)
+# A run of two or more blocks is ruled out before a walked block, ahead of
+# the stop at the distance: the walked block starts where the run left the
+# current vector, so a skip that lands on the wrong one changes the result.
+@example(width=127, dim=12, block_bits=2, density=0.2, images=1, offset=True, stop="d", seed=8, rref=True)
+@example(width=127, dim=12, block_bits=3, density=0.2, images=4, offset=True, stop="d", seed=145, rref=True)
+@example(width=128, dim=12, block_bits=2, density=0.05, images=3, offset=True, stop="d", seed=74, rref=True)
+@example(width=128, dim=12, block_bits=3, density=0.05, images=3, offset=True, stop="d", seed=74, rref=True)
+@example(width=200, dim=12, block_bits=2, density=0.05, images=4, offset=True, stop="d", seed=590, rref=True)
+@example(width=200, dim=12, block_bits=3, density=0.05, images=4, offset=True, stop="d", seed=590, rref=True)
 def test_walk_matches_reference_walk(width, dim, block_bits, density, images, offset, stop, seed,
                                      rref):
     rng = random.Random(seed)
@@ -427,11 +440,11 @@ def test_toric_l4_walk_matches_reference_and_skips_blocks(monkeypatch):
     reference = ref_gray_walk(kernel, mat_columns(cx.boundary(2)), 0, None)
     assert (result.value, result.witness, result.enumerated) == reference
     assert result.value == 4
-    # Of the 2**7 - 1 blocks after the first, the weight of the bits no low
-    # vector has set rules out some before any packed arithmetic; most of
+    # Of the blocks after the first, the weight of the bits on which a run of
+    # blocks agrees rules out some before any packed arithmetic; most of
     # those left for the packed filter hold no vector lighter than the
     # minimum found so far.
-    assert 0 < len(weighed) < 2**7 - 1
+    assert 0 < len(weighed) < 2 ** (17 - distance._BLOCK_BITS) - 1
     assert weighed.count(False) > len(weighed) // 2
 
 

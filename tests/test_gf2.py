@@ -339,7 +339,7 @@ def _ones(word: int, width: int) -> list[int]:
 @example(BinMatrix(2, 1000, [1 << 999 | 1, 1 << 500]), 1)
 def test_property_wide_sparse_products(m, seed):
     assert list(m.transpose().bits) == mat_columns(m)
-    ones = [_ones(m.row_bits(i), m.cols) for i in range(m.rows)]
+    ones = [_ones(b, m.cols) for b in m.bits]
     weights = [0] * m.cols
     for row in ones:
         for j in row:
