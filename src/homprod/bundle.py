@@ -1,12 +1,16 @@
 """On-disk complex bundles: a manifest plus one alist file per boundary.
 
-Each file is written to a temporary name and renamed into place, so an
-interrupted save never leaves a truncated file behind.
+A save writes every file to a temporary name before it renames any of them
+into place, so a failed write leaves the old bundle as it was and no
+temporary file behind.  The renames are one per file: a save cut off among
+them can still leave a mix of old and new files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,11 +41,7 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
     """Write the boundaries and a manifest; returns the bundle directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = []
-    for j, boundary in enumerate(cx.boundaries, start=1):
-        name = f"A{j}.alist"
-        write_alist(boundary, directory / name)
-        names.append(name)
+    names = [f"A{j}.alist" for j in range(1, cx.m + 1)]
     manifest = {
         "format": FORMAT_TAG,
         "m": cx.m,
@@ -49,8 +49,20 @@ def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> 
         "boundaries": names,
         "provenance": provenance or {},
     }
-    _write_text_atomic(directory / MANIFEST_NAME,
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    # Every file goes to a temporary name first; the manifest is renamed last.
+    staged = {name: directory / f".{name}.{os.getpid()}.save" for name in [*names, MANIFEST_NAME]}
+    try:
+        for name, boundary in zip(names, cx.boundaries):
+            write_alist(boundary, staged[name])
+        _write_text_atomic(staged[MANIFEST_NAME],
+                           json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+        for name, tmp in staged.items():
+            os.replace(tmp, directory / name)
+    except BaseException:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
     return directory
 
 

@@ -16,17 +16,20 @@ The engine walks the whole kernel with a Gray code, one basis flip per
 step, and tests boundary membership only for candidates that would
 improve the current minimum.  The steps go in blocks of 2**8, and the
 blocks in aligned runs of 2**t: a run is passed over, with no step, when
-the bits on which all its vectors agree already reach the current
-minimum.  One weight test thus rules out a whole sub-cube of the walk
-(most of a toric level); in an RREF kernel each high vector a run holds
-fixed adds its pivot to those bits.  On levels narrower than 128 bits
-SWAR arithmetic on one packed int then weighs each remaining block's
-vectors at once, and only a block that may hold a lighter vector is
-stepped through.  A ruled-out run holds no candidate, so the result,
-witness and step count are those of the plain walk.  A nontrivial kernel
-basis vector of weight 1 proves distance 1 with no walk.  Past the
-kernel cap it walks nothing and bounds the distance by the lightest
-nontrivial basis vector.
+no vector in it can weigh less than the current minimum.  The run's free
+vectors (the ones it flips) split the level's bits into classes by which
+of them set a bit; the bits no free vector sets agree throughout the run,
+and the bits of one class flip together, so each vector of the run weighs
+at least the agreed bits of its first vector plus, per class, the lighter
+of the class's two states.  One such test thus rules out a whole sub-cube
+of the walk (nearly all of a toric level, on either distance side).  On
+levels narrower than 128 bits SWAR arithmetic on one packed int then
+weighs each remaining block's vectors at once, and only a block that may
+hold a lighter vector is stepped through.  A ruled-out run holds no
+candidate, so the result, witness and step count are those of the plain
+walk.  A nontrivial kernel basis vector of weight 1 proves distance 1
+with no walk.  Past the kernel cap it walks nothing and bounds the
+distance by the lightest nontrivial basis vector.
 
 A classical code's distance under parity check p is level 1 of its
 two-space complex, ``homological_distance(one_complex(p), 1)``, with the
@@ -126,6 +129,56 @@ class _PackedBlocks:
         return (x + self.offset) & self.top_bit != self.top_bit
 
 
+def _refine(classes, agreed: int, v: int):
+    """Split the bit classes by ``v``; the bits of ``agreed`` that ``v`` sets form a new class.
+
+    ``classes`` are disjoint masks off ``agreed``.  Refining with each of
+    some free vectors in turn, from no classes and ``agreed`` the whole
+    level, puts two bits in one class exactly when the same free vectors set
+    them.  A class of one bit is dropped: its bound term is always 0.
+    """
+    split = []
+    for g in classes:
+        a = g & v
+        if a and a != g:
+            split += [h for h in (a, g ^ a) if h & (h - 1)]
+        else:
+            split.append(g)
+    a = v & agreed
+    if a & (a - 1):
+        split.append(a)
+    return split
+
+
+def _class_halves(classes):
+    """(sum of the halves, [(class, size)] largest first).
+
+    Half a class is ``size >> 1``, the most that ``min(c, size - c)`` can be.
+    """
+    sized = sorted(((g, g.bit_count()) for g in classes), key=lambda gs: gs[1], reverse=True)
+    return sum(s >> 1 for _, s in sized), sized
+
+
+def _classes_reach(fixed: int, slack: int, sized) -> bool:
+    """True when the classes' shortfall from their halves stays within ``slack``.
+
+    A combination of the free vectors flips each class whole, so on class
+    G every vector ``fixed`` XOR a combination weighs at least
+    min(c, |G| - c), c = |fixed & G|: each class falls short of its half
+    by ``(size >> 1) - min(c, size - c)``, and the test stops at the first
+    class that takes the running shortfall past ``slack``.  (The min is
+    written out: the builtin call costs more than the rest of the test.)
+    """
+    for g, size in sized:
+        c = (fixed & g).bit_count()
+        if c + c > size:
+            c = size - c
+        slack -= (size >> 1) - c
+        if slack < 0:
+            return False
+    return True
+
+
 def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
     """Gray-code walk over the span of ``kernel_bits`` offset by ``start``.
 
@@ -135,18 +188,29 @@ def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
 
     The steps go in blocks of 2**k, k = min(dim, _BLOCK_BITS): the k low
     vectors run through all their combinations while the rest, the high
-    vectors, stay fixed.  Block b >= 1 starts by flipping high[top], top =
-    ctz(b), and for each t <= top the run of blocks [b, b + 2**t) keeps
-    high[t:] fixed, so its vectors agree on every bit that neither a low
-    vector nor high[:t] has set.  A run is ruled out, with no step taken,
+    vectors, stay fixed.  Block b >= 1 starts at ``fixed``, by flipping
+    high[top], top = ctz(b), and for each t <= top the run of blocks
+    [b, b + 2**t) holds exactly ``fixed`` XOR the combinations of its free
+    vectors, low and high[:t].  A run is ruled out, with no step taken,
     when no vector in it can weigh less than the current minimum, since
     then no step could pass the ``w < best`` test:
 
-    - the weight of the agreed bits bounds the whole run from below; the
-      runs are tried from the longest, t = top, down to the block alone,
-      t = 0, and the first that this bound rules out is passed over (in
-      an RREF kernel every pivot of a fixed high vector is such a bit);
-    - on a level of width n < _MAX_FIELD_BITS, ``_PackedBlocks`` then
+    - The free vectors split the bits into the agreed bits, which none of
+      them sets, and classes: two bits share a class when the same free
+      vectors set both.  A combination leaves the agreed bits as in
+      ``fixed`` and flips each class G whole, so every vector of the run
+      weighs at least |fixed & agreed| + sum over G of min(c, |G| - c),
+      c = |fixed & G|.  The agreed bits are weighed first (in an RREF
+      kernel every pivot of a fixed high vector is one), then the classes,
+      largest first, only when the agreed bits plus every class at its
+      half, |G| // 2, reach the minimum, and only until their shortfall
+      from their halves uses up that margin.  The runs are tried from the
+      longest, t = top, down to the block alone, t = 0, and the first
+      that this bound rules out is passed over.  The classes are built
+      once per walk, one free vector at a time (``_refine``), and only
+      for a walk of more blocks than bits; a shorter walk weighs only the
+      agreed bits.
+    - On a level of width n < _MAX_FIELD_BITS, ``_PackedBlocks`` then
       weighs all the vectors of a block that no run rules out at once.
 
     A run passed over ends where its sub-walk ends: the walk of 2**t
@@ -175,14 +239,19 @@ def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
     packed = None
     if high and field_bits <= _MAX_FIELD_BITS:
         packed = _PackedBlocks(low, field_bits)
-    # masks[t]: the bits on which every vector of a run of 2**t blocks
-    # agrees, the run starting at a block that is a multiple of 2**t.
-    mask = (1 << n) - 1
-    for b in low:
-        mask &= ~b
-    masks = [mask]
-    for g in high[:-1]:
-        masks.append(masks[-1] & ~g)
+    # runs[t]: the bound's terms for a run of 2**t blocks, whose free
+    # vectors are low and high[:t].  A refinement, like a run test, takes
+    # up to one operation per bit, so the classes are built only for a
+    # walk of more blocks than bits: on a short walk of a wide level
+    # they would cost more than the blocks they could rule out.
+    runs, agreed, classes = [], (1 << n) - 1, []
+    weigh = (1 << len(high)) > n
+    for i, v in enumerate([*low, *high[:-1]]):
+        if weigh:
+            classes = _refine(classes, agreed, v)
+        agreed &= ~v
+        if i >= k - 1:
+            runs.append((agreed, *_class_halves(classes)))
     # The steps of a block entered by flipping high[i]: that flip, then the
     # flips inside the block.
     block_flips = [[g, *flips] for g in high]
@@ -193,9 +262,13 @@ def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
         if block:
             top = (block & -block).bit_length() - 1
             fixed = x ^ high[top]
-            # The longest run from here whose agreed bits reach the minimum.
+            # The longest run from here that holds nothing lighter than the minimum.
             t = top
-            while t >= 0 and (fixed & masks[t]).bit_count() < best:
+            while t >= 0:
+                agreed, half, sized = runs[t]
+                room = best - (fixed & agreed).bit_count()
+                if room <= 0 or half >= room and _classes_reach(fixed, half - room, sized):
+                    break
                 t -= 1
             if t < 0 and packed is not None and not packed.may_improve(fixed, min(best, n + 1)):
                 t = 0

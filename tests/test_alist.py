@@ -17,7 +17,9 @@ from homprod import (
     dumps_alist,
     loads_alist,
     one_complex,
+    power_complex,
     read_alist,
+    repetition_circulant,
     write_alist,
 )
 from helpers import random_sparse
@@ -193,6 +195,23 @@ def test_interrupted_manifest_write_keeps_the_old_manifest(tmp_path, monkeypatch
     assert sorted(os.listdir(tmp_path)) == before
     assert (tmp_path / "manifest.json").read_text() == manifest
     assert load_bundle(tmp_path).provenance == {"run": 1}
+
+
+def test_interrupted_bundle_save_keeps_the_old_bundle(tmp_path, monkeypatch):
+    # A one-space bundle overwritten by toric L=3, which has one more
+    # boundary and other dims; the manifest, written last, fails.
+    old = one_complex(BinMatrix.from_string("110 011"))
+    save_bundle(old, tmp_path, {"run": 1})
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    _fail_writes_to(monkeypatch, "manifest.json")
+    with pytest.raises(OSError):
+        save_bundle(power_complex(repetition_circulant(3), 1, 1), tmp_path, {"run": 2})
+    # Every file was still under its temporary name, so nothing was renamed
+    # into place, and every temporary file is gone.
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    loaded = load_bundle(tmp_path)
+    assert loaded.complex.boundaries == old.boundaries
+    assert loaded.provenance == {"run": 1}
 
 
 def test_interrupted_css_export_keeps_the_old_metadata(tmp_path, monkeypatch, capsys):

@@ -448,6 +448,75 @@ def test_toric_l4_walk_matches_reference_and_skips_blocks(monkeypatch):
     assert weighed.count(False) > len(weighed) // 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 40), count=st.integers(0, 10),
+       density=st.sampled_from([0.1, 0.3, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_run_bound_is_sound(width, count, density, seed):
+    rng = random.Random(seed)
+
+    def vector():
+        return sum(1 << j for j in range(width) if rng.random() < density)
+
+    free = [vector() for _ in range(count)]
+    fixed = vector()
+    # The walk's partition: refine by one free vector at a time.
+    agreed, classes = (1 << width) - 1, []
+    for v in free:
+        classes = distance._refine(classes, agreed, v)
+        agreed &= ~v
+    groups = {}
+    for j in range(width):
+        setters = tuple(i for i, v in enumerate(free) if (v >> j) & 1)
+        groups.setdefault(setters, []).append(j)
+    unset = groups.pop((), [])
+    assert agreed == sum(1 << j for j in unset)
+    # The classes are disjoint, and two bits share one exactly when the same
+    # free vectors set both: they are the groups of bits with one set of
+    # setters, and they cover every bit a free vector sets except those
+    # alone in their group, whose bound term min(c, 1 - c) is 0.
+    assert sorted(classes) == sorted(sum(1 << j for j in bits)
+                                     for bits in groups.values() if len(bits) > 1)
+    # The bound, from the groups: agreed bits as they are, each group at
+    # the lighter of its two states.
+    bound = (fixed & agreed).bit_count()
+    for bits in groups.values():
+        c = sum((fixed >> j) & 1 for j in bits)
+        bound += min(c, len(bits) - c)
+    if ref_reduce(ref_echelon(free), fixed):
+        lightest = ref_gray_walk(free, [], fixed, None)[0]
+    else:
+        lightest = 0
+    assert bound <= lightest
+    # The walk's run test rules a run out exactly when the bound reaches the
+    # current minimum.
+    half, sized = distance._class_halves(classes)
+
+    def rules_out(best):
+        room = best - (fixed & agreed).bit_count()
+        return room <= 0 or half >= room and distance._classes_reach(fixed, half - room, sized)
+
+    assert [rules_out(best) for best in range(width + 2)] == [best <= bound for best in range(width + 2)]
+
+
+def test_toric_l6_run_test_weighs_bit_classes(monkeypatch):
+    # Toric L=6 level 1 (kernel dim 37) walks 2**37 - 1 vectors in net.  A
+    # run test that weighs only the bits every vector of a run agrees on
+    # sends 146,595 blocks to the packed filter; one that also weighs each
+    # class of bits the run flips together sends a few hundred.
+    cx = power_complex(repetition_circulant(6), 1, 1)
+    weighed = []
+    may_improve = distance._PackedBlocks.may_improve
+
+    def record(self, block, threshold):
+        weighed.append(block)
+        return may_improve(self, block, threshold)
+
+    monkeypatch.setattr(distance._PackedBlocks, "may_improve", record)
+    result = homological_distance(cx, 1, cap=37)
+    assert (result.value, result.witness, result.enumerated) == (6, 63, 2**37 - 1)
+    assert len(weighed) < 2000
+
+
 @pytest.mark.parametrize("compute, checks, image", [
     # Cycles meet every row of A_1 evenly; boundaries span the columns of A_2.
     (homological_distance, lambda a1, a2: a1.bits, lambda a1, a2: mat_columns(a2)),
