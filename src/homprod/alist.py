@@ -11,6 +11,14 @@ Layout (indices are 1-based):
 
 Some writers pad short adjacency lines with zeros; padding is accepted on
 read and never emitted on write.
+
+The reader keeps both adjacency sections, after cross-checking them, as
+the matrix's row and column supports, and builds no row words: those are
+built on the first use of ``BinMatrix.bits``, and a matrix that is only
+written, transposed or weighed never builds them.  The writer reads the
+same supports; a matrix built from row words derives them once.  A file
+is decoded as ASCII, and a byte that is not ASCII is a ``ParseError`` at
+its line.
 """
 
 from __future__ import annotations
@@ -34,27 +42,21 @@ class InconsistentWeights(ParseError):
 
 
 def dumps_alist(m: BinMatrix) -> str:
-    """The alist text of ``m``, written in a single pass over its row words.
+    """The alist text of ``m``, written in a single pass over its row supports.
 
-    Each row's column indices are collected once, from the top bit down,
-    and the row's index is appended to each of those columns' lists, so
-    no transpose is built.  Indices are formatted through one table of
-    1-based index strings.
+    Each row's index names are appended to its columns' lists as the row
+    is written, so the column section needs no transpose.  Indices are
+    formatted through one table of 1-based index strings.
     """
     names = [str(k) for k in range(1, max(m.rows, m.cols) + 1)]
+    name = names.__getitem__
     col_lists: list[list[str]] = [[] for _ in range(m.cols)]
     row_lines = []
-    for name, b in zip(names, m.bits):
-        entries = []
-        while b:
-            j = b.bit_length() - 1
-            entries.append(j)
-            b ^= 1 << j
-        entries.reverse()
-        for j in entries:
-            col_lists[j].append(name)
-        row_lines.append(" ".join([names[j] for j in entries]))
-    col_w = [len(c) for c in col_lists]
+    for row_name, s in zip(names, m.supports):
+        for j in s:
+            col_lists[j].append(row_name)
+        row_lines.append(" ".join(map(name, s)))
+    col_w = list(map(len, col_lists))
     row_w = m.row_weights()
     lines = [
         f"{m.cols} {m.rows}",
@@ -72,7 +74,7 @@ def _ints(lines: list[str], lineno: int) -> list[int]:
     if lineno - 1 >= len(lines):
         raise ParseError(lineno, "unexpected end of file")
     try:
-        return list(map(int, lines[lineno - 1].split()))
+        return [*map(int, lines[lineno - 1].split())]
     except ValueError:
         raise ParseError(lineno, f"non-integer token in {lines[lineno - 1]!r}") from None
 
@@ -96,13 +98,17 @@ def loads_alist(text: str) -> BinMatrix:
         raise InconsistentWeights(2, "declared maxima do not match the weight lists")
 
     # Column lists are read into per-row index lists (increasing column
-    # order, one append per entry).  Each row line is checked against its
-    # list as read, and sorted only when that fails; the row words are
-    # built once at the end.
+    # order, one append per entry) and kept, sorted, as the column
+    # supports.  Each row line is then checked against its list: first as
+    # text, which is how the writer writes it, and failing that as read,
+    # and sorted only when that fails.  The lists become the row supports.
     row_cols: list[list[int]] = [[] for _ in range(rows)]
+    col_rows = []
     for j in range(cols):
         lineno = 5 + j
-        entries = [e for e in _ints(lines, lineno) if e != 0]
+        entries = _ints(lines, lineno)
+        if 0 in entries:
+            entries = [e for e in entries if e != 0]
         if len(entries) != col_w[j]:
             raise InconsistentWeights(
                 lineno, f"column {j} lists {len(entries)} entries, weight says {col_w[j]}")
@@ -113,34 +119,48 @@ def loads_alist(text: str) -> BinMatrix:
             if listed and listed[-1] == j:
                 raise InconsistentWeights(lineno, f"duplicate entry {e} in column {j}")
             listed.append(j)
+        col = [e - 1 for e in entries]
+        col.sort()
+        col_rows.append(tuple(col))
+    name = [str(k) for k in range(1, cols + 1)].__getitem__
     for i in range(rows):
         lineno = 5 + cols + i
-        entries = [e for e in _ints(lines, lineno) if e != 0]
+        expected = row_cols[i]
+        if (lineno <= len(lines) and len(expected) == row_w[i]
+                and lines[lineno - 1] == " ".join(map(name, expected))):
+            continue
+        entries = _ints(lines, lineno)
+        if 0 in entries:
+            entries = [e for e in entries if e != 0]
         if len(entries) != row_w[i]:
             raise InconsistentWeights(
                 lineno, f"row {i} lists {len(entries)} entries, weight says {row_w[i]}")
         listed = [e - 1 for e in entries]
-        if listed == row_cols[i]:
+        if listed == expected:
             continue
         for e in entries:
             if not 1 <= e <= cols:
                 raise ParseError(lineno, f"column index {e} outside 1..{cols}")
         listed.sort()
-        if listed != row_cols[i]:
-            if sorted(set(listed)) == row_cols[i]:
+        if listed != expected:
+            if sorted(set(listed)) == expected:
                 e = next(e for e, f in zip(listed, listed[1:]) if e == f)
                 raise InconsistentWeights(lineno, f"duplicate entry {e + 1} in row {i}")
             raise InconsistentWeights(lineno, f"row {i} adjacency disagrees with columns")
-    bits = []
-    for listed in row_cols:
-        b = 0
-        for j in listed:
-            b |= 1 << j
-        bits.append(b)
     for extra in range(4 + cols + rows, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "trailing non-blank line")
-    return BinMatrix(rows, cols, bits)
+    return BinMatrix._from_supports(rows, cols, tuple(map(tuple, row_cols)), tuple(col_rows))
+
+
+def _decode(data: bytes, encoding: str) -> str:
+    """``data`` as text; a byte that does not decode is a ``ParseError`` at its
+    1-based line, counted as ``str.splitlines`` counts the lines of a parse."""
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode(encoding) + "|").splitlines())
+        raise ParseError(line, f"byte {data[exc.start]:#04x} is not {encoding}") from None
 
 
 def _write_text_atomic(path, text: str, encoding: str) -> None:
@@ -167,5 +187,5 @@ def write_alist(m: BinMatrix, path) -> None:
 
 
 def read_alist(path) -> BinMatrix:
-    with open(os.fspath(path), "r", encoding="ascii") as fh:
-        return loads_alist(fh.read())
+    with open(os.fspath(path), "rb") as fh:
+        return loads_alist(_decode(fh.read(), "ascii"))

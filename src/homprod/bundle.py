@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .alist import ParseError, _write_text_atomic, read_alist, write_alist
+from .alist import ParseError, _decode, _write_text_atomic, read_alist, write_alist
 from .complexes import ChainComplex
 from .gf2 import DimensionMismatch
 
@@ -73,13 +73,15 @@ def load_bundle(directory) -> Bundle:
     ``complex-bundle/1``, ``m`` not an int of at least 1, ``dims`` not a
     list of m + 1 nonnegative ints, ``boundaries`` not a list of ``m`` file
     names, ``provenance`` or its ``source`` not an object) raises
-    ``ParseError`` before any file is read.
+    ``ParseError`` before any file is read, and so does a manifest that is
+    not valid UTF-8 or not JSON.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
+    with open(manifest_path, "rb") as fh:
+        text = _decode(fh.read(), "utf-8")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"malformed manifest: {exc.msg}") from exc
     if not isinstance(manifest, dict):

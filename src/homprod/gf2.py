@@ -2,8 +2,16 @@
 
 Each matrix row is stored as a single Python integer bitset (bit ``j``
 is column ``j``), which gives word-parallel XOR row operations and
-popcount weights without any third-party dependency.  All values are
-immutable after construction, so they can be shared freely.
+popcount weights without any third-party dependency.  A matrix read from
+an alist file instead holds its supports, the sorted column indices of
+each row and the sorted row indices of each column, and builds its row
+words on the first use of ``bits``; writes, transposes (a swap of the
+two), weights and the left operand of a product read the supports and
+never need the words.  A matrix built from row words runs the same
+operations on its words, which costs less than building supports for one
+use; it derives its supports only on request, for a write, and keeps no
+copy.  Values never change after construction (the lazily built words
+are a cache), so they can be shared freely.
 
 One forward-elimination primitive, ``_forward``, does all elimination.
 Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
@@ -48,14 +56,25 @@ def _as_mask(vector, length: int) -> int:
     return mask
 
 
+def _support(b: int) -> tuple[int, ...]:
+    """Sorted indices of the set bits of ``b``, taken from the top."""
+    out = []
+    while b:
+        j = b.bit_length() - 1
+        out.append(j)
+        b ^= 1 << j
+    out.reverse()
+    return tuple(out)
+
+
 class BinMatrix:
-    """Immutable dense binary matrix with bit-packed rows.
+    """Immutable binary matrix with bit-packed rows, or with sparse supports.
 
     Zero rows or zero columns are legal; the empty matrix acts as the
     trivial boundary operator and needs no special-casing downstream.
     """
 
-    __slots__ = ("_nrows", "_ncols", "_bits")
+    __slots__ = ("_nrows", "_ncols", "_bits", "_supports", "_col_supports")
 
     def __init__(self, rows: int, cols: int, bits: Sequence[int] | None = None):
         if rows < 0 or cols < 0:
@@ -72,6 +91,20 @@ class BinMatrix:
         self._nrows = rows
         self._ncols = cols
         self._bits = bits
+        self._supports = self._col_supports = None
+
+    @classmethod
+    def _from_supports(cls, rows: int, cols: int, supports: tuple[tuple[int, ...], ...],
+                       col_supports: tuple[tuple[int, ...], ...]) -> "BinMatrix":
+        """The matrix with these row and column supports, trusted as given:
+        sorted, in range, and each other's transpose.  No row word is built."""
+        m = cls.__new__(cls)
+        m._nrows = rows
+        m._ncols = cols
+        m._bits = None
+        m._supports = supports
+        m._col_supports = col_supports
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BinMatrix":
@@ -120,19 +153,50 @@ class BinMatrix:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        """Row bitsets (bit ``j`` of entry ``i`` is the (i, j) matrix entry)."""
-        return self._bits
+        """Row bitsets (bit ``j`` of entry ``i`` is the (i, j) matrix entry).
+
+        A matrix held by its supports builds them here, once.
+        """
+        bits = self._bits
+        if bits is None:
+            words = []
+            for s in self._supports:
+                b = 0
+                for j in s:
+                    b |= 1 << j
+                words.append(b)
+            bits = self._bits = tuple(words)
+        return bits
+
+    @property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted column indices of the ones of each row.
+
+        Kept from construction by a matrix read from supports; derived from
+        the row words on every request, and not kept, by any other.
+        """
+        supports = self._supports
+        if supports is None:
+            supports = tuple(map(_support, self._bits))
+        return supports
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self._nrows and 0 <= j < self._ncols):
             raise IndexError("matrix index out of range")
+        if self._bits is None:
+            return int(j in self._supports[i])
         return (self._bits[i] >> j) & 1
 
     def is_zero(self) -> bool:
-        return not any(self._bits)
+        return not any(self._bits if self._supports is None else self._supports)
 
     def transpose(self) -> "BinMatrix":
+        """The transpose: a swap of the two supports when this matrix holds
+        them, else column words built from the row words."""
+        if self._supports is not None:
+            return BinMatrix._from_supports(self._ncols, self._nrows,
+                                            self._col_supports, self._supports)
         cols = [0] * self._ncols
         for i, b in enumerate(self._bits):
             bit = 1 << i
@@ -143,36 +207,49 @@ class BinMatrix:
         return BinMatrix(self._ncols, self._nrows, cols)
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
+        """Row i of the product is the XOR of the words of ``other`` at the
+        ones of row i, read off this matrix's supports or row words."""
         if not isinstance(other, BinMatrix):
             return NotImplemented
         if self._ncols != other._nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        obits = other._bits
+        obits = other.bits
         out = []
-        for b in self._bits:
-            acc = 0
-            while b:
-                j = b.bit_length() - 1
-                acc ^= obits[j]
-                b ^= 1 << j
-            out.append(acc)
+        if self._supports is not None:
+            for s in self._supports:
+                acc = 0
+                for j in s:
+                    acc ^= obits[j]
+                out.append(acc)
+        else:
+            for b in self._bits:
+                acc = 0
+                while b:
+                    j = b.bit_length() - 1
+                    acc ^= obits[j]
+                    b ^= 1 << j
+                out.append(acc)
         return BinMatrix(self._nrows, other._ncols, out)
 
     def mul_vec(self, x) -> int:
         """Matrix-vector product ``m @ x`` as an int bitset over the rows."""
         xm = _as_mask(x, self._ncols)
         y = 0
-        for i, b in enumerate(self._bits):
+        for i, b in enumerate(self.bits):
             if (b & xm).bit_count() & 1:
                 y |= 1 << i
         return y
 
     def row_weights(self) -> list[int]:
-        return [b.bit_count() for b in self._bits]
+        if self._supports is None:
+            return [b.bit_count() for b in self._bits]
+        return list(map(len, self._supports))
 
     def col_weights(self) -> list[int]:
+        if self._supports is not None:
+            return list(map(len, self._col_supports))
         w = [0] * self._ncols
         for b in self._bits:
             while b:
@@ -184,16 +261,16 @@ class BinMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._bits == other._bits
+        return self.shape == other.shape and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self._nrows, self._ncols, self._bits))
+        return hash((self._nrows, self._ncols, self.bits))
 
     def __repr__(self) -> str:
         if self._nrows and self._ncols and self._nrows * self._ncols <= 64:
             body = " ".join(
                 "".join(str((b >> j) & 1) for j in range(self._ncols))
-                for b in self._bits
+                for b in self.bits
             )
             return f"BinMatrix({self._nrows}x{self._ncols}: {body})"
         return f"BinMatrix({self._nrows}x{self._ncols})"

@@ -230,6 +230,21 @@ def ref_composes_to_zero(boundaries):
     return True
 
 
+def ref_matmul(left: BinMatrix, right: BinMatrix):
+    """Row words of ``left @ right``, entry by entry: bit k of row i is the
+    parity of the j with (i, j) set in ``left`` and (j, k) set in ``right``."""
+    out = []
+    for i in range(left.rows):
+        word = 0
+        for k in range(right.cols):
+            parity = 0
+            for j in range(left.cols):
+                parity ^= (left.bits[i] >> j) & (right.bits[j] >> k) & 1
+            word |= parity << k
+        out.append(word)
+    return out
+
+
 def ref_cochain(cx: ChainComplex) -> ChainComplex:
     """Transposed boundaries in reverse order; level j maps to level m - j.
 

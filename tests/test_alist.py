@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homprod import alist
 from homprod.bundle import load_bundle, save_bundle
@@ -22,7 +23,7 @@ from homprod import (
     repetition_circulant,
     write_alist,
 )
-from helpers import random_sparse
+from helpers import mat_columns, random_sparse, ref_matmul
 
 
 def test_smallest_case_layout():
@@ -115,6 +116,106 @@ def test_trailing_blank_lines_tolerated():
     assert loads_alist(text) == BinMatrix.from_string("11")
     with pytest.raises(ParseError):
         loads_alist(dumps_alist(BinMatrix.from_string("11")) + "junk\n")
+
+
+# A 2x3 matrix, rows {0, 1} and {1, 2}, as the writer writes it; each
+# malformed text below replaces some of its lines (1-based).
+GOOD_LINES = ["3 2", "2 2", "1 2 1", "2 2", "1", "1 2", "2", "1 2", "2 3"]
+
+
+def _with(**lines) -> str:
+    """GOOD_LINES with line ``n`` replaced by the value of ``l<n>``."""
+    out = list(GOOD_LINES)
+    for key, value in lines.items():
+        out[int(key[1:]) - 1] = value
+    return "\n".join(out) + "\n"
+
+
+# (name, text, exception class, line); each class and line is the one the
+# reader raised before it kept supports.
+MALFORMED = [
+    ("empty file", "", ParseError, 1),
+    ("header token", _with(l1="3 x"), ParseError, 1),
+    ("header arity", _with(l1="3"), ParseError, 1),
+    ("negative header", _with(l1="-3 2"), ParseError, 1),
+    ("maxima arity", _with(l2="2 2 2"), ParseError, 2),
+    ("wrong maxima", _with(l2="2 3"), InconsistentWeights, 2),
+    ("weight count before maxima", _with(l2="9 9", l3="1 2"), InconsistentWeights, 3),
+    ("column weight count", _with(l3="1 2"), InconsistentWeights, 3),
+    ("row weight count", _with(l4="2 2 2"), InconsistentWeights, 4),
+    ("column line token", _with(l6="1 y"), ParseError, 6),
+    ("column line weight", _with(l5="1 2"), InconsistentWeights, 5),
+    ("column index out of range", _with(l6="1 3"), ParseError, 6),
+    ("negative column index", _with(l7="-1"), ParseError, 7),
+    ("column duplicate", _with(l6="1 1"), InconsistentWeights, 6),
+    ("row line weight", _with(l8="1"), InconsistentWeights, 8),
+    ("row index out of range", _with(l8="1 4"), ParseError, 8),
+    ("row line token", _with(l9="2 z"), ParseError, 9),
+    ("row duplicate", "2 1\n1 2\n1 0\n2\n1\n\n1 1\n", InconsistentWeights, 7),
+    ("row duplicate that disagrees", _with(l9="2 2"), InconsistentWeights, 9),
+    ("sections disagree", _with(l9="1 3"), InconsistentWeights, 9),
+    ("short column section", "\n".join(GOOD_LINES[:6]) + "\n", ParseError, 7),
+    ("short file", "\n".join(GOOD_LINES[:7]) + "\n", ParseError, 8),
+    ("short row section", "\n".join(GOOD_LINES[:8]) + "\n", ParseError, 9),
+    ("trailing line", _with() + "junk\n", ParseError, 10),
+    ("trailing line after blanks", _with() + "\n\njunk\n", ParseError, 12),
+]
+
+
+@pytest.mark.parametrize("text, cls, line", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_alist_error_class_and_line(text, cls, line):
+    with pytest.raises(ParseError) as err:
+        loads_alist(text)
+    assert (type(err.value), err.value.line) == (cls, line)
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+ACCEPTED = [
+    ("zero padding", _with(l5="1 0", l7="2 0")),
+    ("unsorted row lines", _with(l8="2 1", l9="3 2")),
+    ("unsorted column line", _with(l6="2 1")),
+    ("padded and unsorted row line", _with(l9="0 3 2")),
+    ("trailing blank lines", _with() + "\n  \n\n"),
+    ("CRLF line ends and extra spaces", _with(l6=" 1   2 ").replace("\n", "\r\n")),
+]
+
+
+@pytest.mark.parametrize("text", [case[1] for case in ACCEPTED],
+                         ids=[case[0] for case in ACCEPTED])
+def test_accepted_alist_variants(text):
+    m = loads_alist(text)
+    assert m == BinMatrix.from_string("110 011")
+    assert m.supports == ((0, 1), (1, 2))
+    assert m.transpose().supports == ((0,), (0, 1), (1,))
+    assert dumps_alist(m) == _with()
+
+
+def test_non_ascii_byte_is_a_parse_error_at_its_line(tmp_path):
+    path = tmp_path / "m.alist"
+    path.write_bytes(_with(l7="2 \u00e9").encode("utf-8"))
+    with pytest.raises(ParseError) as err:
+        read_alist(path)
+    assert err.value.line == 7
+    path.write_bytes(b"\xff\xfe 3\n")
+    with pytest.raises(ParseError) as err:
+        read_alist(path)
+    assert err.value.line == 1
+
+
+def test_read_write_transpose_and_weights_build_no_row_words():
+    source = random_sparse(random.Random(603), 30, 50)
+    m = loads_alist(dumps_alist(source))
+    t = m.transpose()
+    assert dumps_alist(loads_alist(dumps_alist(t))) == dumps_alist(t)
+    assert (m.row_weights(), m.col_weights(), t.row_weights(), m.is_zero()) == \
+        (source.row_weights(), source.col_weights(), source.col_weights(), False)
+    assert [m[i, 7] for i in range(30)] == [(w >> 7) & 1 for w in source.bits]
+    assert m._bits is None and t._bits is None
+    # The left operand of a product reads its supports; the right one builds its words.
+    m @ t
+    assert m._bits is None and t._bits is not None
+    assert m.bits == source.bits and list(t.bits) == mat_columns(source)
 
 
 def _naive_alist(rows: list[list[int]], ncols: int) -> str:
@@ -226,3 +327,67 @@ def test_interrupted_css_export_keeps_the_old_metadata(tmp_path, monkeypatch, ca
     assert "no space left on device" in capsys.readouterr().err
     assert sorted(os.listdir(css)) == ["css.json", "gx.alist", "gz.alist"]
     assert (css / "css.json").read_text() == meta
+
+
+# --- a matrix read from an alist against the same matrix built from words ----
+
+@st.composite
+def word_matrices(draw, rows=None, cols=None):
+    """Any shape up to 12 x 24, zero rows or columns included; each row is
+    empty, all ones or random."""
+    rows = draw(st.integers(0, 12)) if rows is None else rows
+    cols = draw(st.integers(0, 24)) if cols is None else cols
+    full = (1 << cols) - 1
+    words = [draw(st.sampled_from([0, full]) | st.integers(0, full)) for _ in range(rows)]
+    return BinMatrix(rows, cols, words)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+@example(None)
+def test_property_read_matrix_agrees_with_word_matrix(data):
+    if data is None:  # explicit example: the empty shapes
+        shapes = [BinMatrix(0, 0), BinMatrix(0, 3), BinMatrix(4, 0)]
+        cases = [(m, BinMatrix(m.cols, 2), BinMatrix(1, m.rows), 0) for m in shapes]
+    else:
+        m = data.draw(word_matrices())
+        right = data.draw(word_matrices(rows=m.cols))
+        left = data.draw(word_matrices(cols=m.rows))
+        cases = [(m, right, left, data.draw(st.integers(0, (1 << m.cols) - 1)))]
+    for m, right, left, x in cases:
+        text = dumps_alist(m)
+        words = list(m.bits)
+        ones = [[j for j in range(m.cols) if (w >> j) & 1] for w in words]
+        cols = mat_columns(m)
+        assert text == _naive_alist([[int(j in row) for j in range(m.cols)] for row in ones],
+                                    m.cols)
+        # A fresh read for each check, so every check runs before any other
+        # could build the read matrix's row words.
+        def read():
+            return loads_alist(text)
+        assert read().supports == m.supports == tuple(map(tuple, ones))
+        assert read().row_weights() == m.row_weights() == list(map(len, ones))
+        assert read().col_weights() == m.col_weights() == [c.bit_count() for c in cols]
+        assert read().is_zero() == m.is_zero() == (not any(words))
+        r = read()
+        assert all(r[i, j] == m[i, j] == ((w >> j) & 1)
+                   for i, w in enumerate(words) for j in range(m.cols))
+        assert dumps_alist(read()) == text
+        assert dumps_alist(read().transpose()) == dumps_alist(m.transpose())
+        assert list(read().transpose().bits) == list(m.transpose().bits) == cols
+        assert read().transpose().transpose() == m == read()
+        assert list(read().transpose().transpose().bits) == words
+        assert list(read().bits) == words
+        assert hash(read()) == hash(m)
+        assert repr(read()) == repr(m)
+        assert read().mul_vec(x) == m.mul_vec(x) == sum(
+            ((w & x).bit_count() & 1) << i for i, w in enumerate(words))
+        # Either form on the left of a product and on the right.
+        read_right = loads_alist(dumps_alist(right))
+        read_left = loads_alist(dumps_alist(left))
+        product = ref_matmul(m, right)
+        assert list((read() @ right).bits) == list((m @ read_right).bits) == product
+        assert list((read() @ read_right).bits) == list((m @ right).bits) == product
+        product = ref_matmul(left, m)
+        assert list((read_left @ read()).bits) == list((left @ m).bits) == product
+        assert list((left @ read()).bits) == list((read_left @ m).bits) == product

@@ -221,6 +221,38 @@ def test_garbage_alist_gives_io_exit(tmp_path, capsys):
     assert code == 4
 
 
+def test_non_ascii_alist_gives_io_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.alist"
+    bad.write_bytes(b"\xff\xfe 3\n")
+    out = tmp_path / "bundle"
+    code, text, err = run(capsys, "build", "--matrix", str(bad), "--out", str(out))
+    assert (code, text) == (4, "")
+    assert err == "error: line 1: byte 0xff is not ascii\n"
+    assert not out.exists()
+
+
+def test_non_ascii_boundary_file_gives_io_exit(toric_bundle, capsys):
+    # A byte past ASCII on line 6 of A1.alist: the load stops at it.
+    path = toric_bundle / "A1.alist"
+    lines = path.read_bytes().split(b"\n")
+    lines[5] += b" \xc3\xa9"
+    path.write_bytes(b"\n".join(lines))
+    code, text, err = run(capsys, "analyze", str(toric_bundle))
+    assert (code, text) == (4, "")
+    assert err == "error: line 6: byte 0xc3 is not ascii\n"
+
+
+def test_manifest_that_is_not_utf8_gives_io_exit(toric_bundle, capsys):
+    path = toric_bundle / "manifest.json"
+    text = path.read_bytes()
+    # A Latin-1 byte inside a string on the manifest's third line.
+    assert text.count(b"\n", 0, text.index(b'"A1.alist"')) == 2
+    path.write_bytes(text.replace(b'"A1.alist"', b'"A1.al\xefst"'))
+    code, out, err = run(capsys, "analyze", str(toric_bundle))
+    assert (code, out) == (4, "")
+    assert err == "error: line 3: byte 0xef is not utf-8\n"
+
+
 def test_missing_bundle_gives_io_exit(tmp_path, capsys):
     code, _, _ = run(capsys, "analyze", str(tmp_path / "nope"))
     assert code == 4
