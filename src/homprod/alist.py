@@ -80,9 +80,15 @@ def _ints(lines: list[str], lineno: int) -> list[int]:
 
 
 def loads_alist(text: str) -> BinMatrix:
+    # Every token is ASCII digits, but ``int`` also takes a sign, an
+    # underscore or a non-ASCII digit: whole-text scans refuse those, and
+    # only a refusal looks for the line.
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        i = next(i for i, c in enumerate(text) if c in "+-_" or not c.isascii())
+        raise ParseError(len((text[:i] + "|").splitlines()), f"{text[i]!r} is not an ASCII digit")
     lines = text.splitlines()
     header = _ints(lines, 1)
-    if len(header) != 2 or header[0] < 0 or header[1] < 0:
+    if len(header) != 2:
         raise ParseError(1, "expected '<cols> <rows>'")
     cols, rows = header
     maxes = _ints(lines, 2)
@@ -113,7 +119,7 @@ def loads_alist(text: str) -> BinMatrix:
             raise InconsistentWeights(
                 lineno, f"column {j} lists {len(entries)} entries, weight says {col_w[j]}")
         for e in entries:
-            if not 1 <= e <= rows:
+            if e > rows:
                 raise ParseError(lineno, f"row index {e} outside 1..{rows}")
             listed = row_cols[e - 1]
             if listed and listed[-1] == j:
@@ -139,7 +145,7 @@ def loads_alist(text: str) -> BinMatrix:
         if listed == expected:
             continue
         for e in entries:
-            if not 1 <= e <= cols:
+            if e > cols:
                 raise ParseError(lineno, f"column index {e} outside 1..{cols}")
         listed.sort()
         if listed != expected:

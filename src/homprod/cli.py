@@ -133,10 +133,10 @@ def cmd_distance(args, parser) -> int:
     for j in levels:
         if not 0 <= j <= cx.m:
             raise LevelOutOfRange(f"level {j} outside 0..{cx.m}")
-    entries, cap_hit = distance_levels(cx, levels, args.cap, args.threads)
+    entries, cap_hit = distance_levels(cx, levels, args.cap)
     report = {
         "provenance": provenance("distance", bundle=str(args.bundle), cap=args.cap,
-                                 threads=args.threads, levels=levels),
+                                 levels=levels),
         "m": cx.m,
         "dims": list(cx.dims),
         "levels": entries,
@@ -147,7 +147,7 @@ def cmd_distance(args, parser) -> int:
 
 def cmd_verify(args, parser) -> int:
     bundle = load_bundle(args.bundle)
-    outcome = verify_bundle(bundle, cap=args.cap, workers=args.threads)
+    outcome = verify_bundle(bundle, cap=args.cap)
     for note in outcome.notes:
         print(f"note: {note}")
     for violation in outcome.violations:
@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_KERNEL_CAP,
                            help="kernel dimension cap for exact searches")
             p.add_argument("--threads", type=_positive_int, default=1,
-                           help="parallel sub-searches for the distance walk")
+                           help="ignored: the walk runs in one process")
         if fmt:
             p.add_argument("--format", choices=FORMATS, default="report")
 

@@ -79,8 +79,7 @@ def extract_css(c: ChainComplex, level: int) -> CssCode:
     return code
 
 
-def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP, *,
-                   workers: int = 1) -> CodeParameters:
+def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP) -> CodeParameters:
     """n, k and both distance sides of the pair (g_x, g_z); a side past the cap is an interval.
 
     ``z`` is the lightest vector of Ker g_x off the row span of g_z, ``x``
@@ -93,8 +92,8 @@ def css_parameters(code: CssCode, cap: int = DEFAULT_KERNEL_CAP, *,
     h, g = code.g_x, code.g_z
     h_rows, g_rows = row_space_basis(h), row_space_basis(g)
     side = distance._min_nontrivial
-    z = side(h, kernel_from_rref(h_rows), g_rows, cap=cap, workers=workers)
-    x = side(g, kernel_from_rref(g_rows), h_rows, cap=cap, workers=workers)
+    z = side(h, kernel_from_rref(h_rows), g_rows, cap=cap)
+    x = side(g, kernel_from_rref(g_rows), h_rows, cap=cap)
     return CodeParameters(n=code.n, k=z.kernel_dim + x.kernel_dim - code.n, z=z, x=x)
 
 

@@ -38,13 +38,10 @@ same interval past the cap.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from .complexes import ChainComplex, LevelOutOfRange
-from .extnat import INFINITY, ExtNat, as_extnat
+from .extnat import INFINITY, ExtNat
 from .gf2 import BinMatrix, EchelonBasis, kernel_basis, row_space_basis
 
 DEFAULT_KERNEL_CAP = 28
@@ -59,8 +56,8 @@ class DistanceResult:
     bitset over the level space (None unless exact and finite);
     ``enumerated`` counts the kernel vectors the walk covered, including
     those in runs of blocks ruled out by a weight bound without a step:
-    ``2**dim - 1`` for a full walk, fewer after an early stop at
-    ``lower_bound``, and 0 for the weight-1 fast path and past the cap.
+    ``2**dim - 1`` for a walk, and 0 for the weight-1 fast path and past
+    the cap.
     """
 
     value: ExtNat
@@ -179,12 +176,11 @@ def _classes_reach(fixed: int, slack: int, sized) -> bool:
     return True
 
 
-def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
-    """Gray-code walk over the span of ``kernel_bits`` offset by ``start``.
+def _walk_range(kernel_bits, image: EchelonBasis):
+    """Gray-code walk over the 2**len(kernel_bits) - 1 nonzero combinations of ``kernel_bits``.
 
-    Visits ``start`` plus all 2**len(kernel_bits) - 1 nonzero combinations
-    XORed onto it, skipping the zero vector.  Returns (best, witness, count),
-    with best and witness None when every visited vector is in ``image``.
+    Returns (best, witness, count), with best and witness None when every
+    visited vector is in ``image``.
 
     The steps go in blocks of 2**k, k = min(dim, _BLOCK_BITS): the k low
     vectors run through all their combinations while the rest, the high
@@ -216,25 +212,20 @@ def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
     A run passed over ends where its sub-walk ends: the walk of 2**t
     blocks flips, in net, the top vector of that sub-walk, high[t - 1]
     (the top low vector for t = 0).  Every other block is walked step by
-    step, and a stop at ``stop_at`` happens at the same step as in a plain
-    walk, so (best, witness, count) do not depend on the blocks; ``count``
+    step, so (best, witness, count) do not depend on the blocks; ``count``
     includes the ruled-out runs.
     """
     # No combination outweighs the sum of the weights, so the first
     # nontrivial cycle always improves on this.
-    best = sum(b.bit_count() for b in kernel_bits) + start.bit_count() + 1
+    best = sum(b.bit_count() for b in kernel_bits) + 1
     witness = None
-    if start and start not in image:
-        best, witness = start.bit_count(), start
-        if stop_at is not None and best <= stop_at:
-            return best, witness, 1
     k = min(len(kernel_bits), _BLOCK_BITS)
     low, high = kernel_bits[:k], kernel_bits[k:]
     # The flips inside a block; together they flip the top low vector.
     flips = [low[(t & -t).bit_length() - 1] for t in range(1, 1 << k)]
     # Every visited vector fits in n bits; a field is the fewest whole bytes
     # that hold n + 1 bits.
-    n = max(b.bit_length() for b in (start, *kernel_bits))
+    n = max((b.bit_length() for b in kernel_bits), default=0)
     field_bits = 8 * (n // 8 + 1)
     packed = None
     if high and field_bits <= _MAX_FIELD_BITS:
@@ -257,7 +248,7 @@ def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
     block_flips = [[g, *flips] for g in high]
     # ends[t]: the vector a run of 2**t blocks flips in net.
     ends = [*low[-1:], *high]
-    x, block, blocks = start, 0, 1 << len(high)
+    x, block, blocks = 0, 0, 1 << len(high)
     while block < blocks:
         if block:
             top = (block & -block).bit_length() - 1
@@ -276,48 +267,21 @@ def _walk_range(kernel_bits, image: EchelonBasis, start: int, stop_at):
                 x = fixed ^ ends[t]
                 block += 1 << t
                 continue
-            steps = enumerate(block_flips[top], block << k)
+            steps = block_flips[top]
         else:
-            steps = enumerate(flips, 1)
-        for step, f in steps:
+            steps = flips
+        for f in steps:
             x ^= f
             w = x.bit_count()
             if w < best and x not in image:
                 best = w
                 witness = x
-                if stop_at is not None and best <= stop_at:
-                    return best, witness, step + 1 if start else step
         block += 1
-    count = (1 << len(kernel_bits)) - (0 if start else 1)
-    return (None if witness is None else best), witness, count
-
-
-def _search(kernel: EchelonBasis, image: EchelonBasis, stop_at, workers: int):
-    kernel_bits = kernel.bits
-    dim = len(kernel_bits)
-    if workers <= 1 or dim < 8:
-        return _walk_range(kernel_bits, image, 0, stop_at)
-    # Partition by fixing the top t kernel coordinates; sub-searches share
-    # only immutable bases and merge by min.  The split follows ``workers``
-    # alone, so counts and witnesses do not depend on the pool size.
-    t = min(max(1, (workers - 1).bit_length()), dim - 1)
-    starts = [0]
-    for b in kernel_bits[dim - t:]:
-        starts += [s ^ b for s in starts]
-    walk = partial(_walk_range, kernel_bits[: dim - t], image, stop_at=stop_at)
-    best, witness, total = None, None, 0
-    # A forking pool starts all its processes at once: no more than there
-    # are tasks or CPUs.
-    with ProcessPoolExecutor(max_workers=min(workers, len(starts), os.cpu_count() or 1)) as pool:
-        for b, w, c in pool.map(walk, starts):
-            total += c
-            if b is not None and (best is None or b < best):
-                best, witness = b, w
-    return best, witness, total
+    return (None if witness is None else best), witness, (1 << len(kernel_bits)) - 1
 
 
 def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis, *,
-                    cap: int, lower_bound=None, workers: int = 1) -> DistanceResult:
+                    cap: int) -> DistanceResult:
     """Minimum weight over the span of ``kernel``, a basis of Ker(parity), outside ``image``."""
     dim = len(kernel)
     if dim - len(image) == 0:
@@ -332,9 +296,7 @@ def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis
         # The group is nontrivial, so some kernel basis vector is not a boundary.
         upper = min(b.bit_count() for b in kernel.bits if b not in image)
         return DistanceResult(ExtNat(1), None, 0, ExtNat(upper), False, dim)
-    lb = INFINITY if lower_bound is None else as_extnat(lower_bound)
-    stop_at = lb.finite_value if lb.is_finite else None
-    best, witness, count = _search(kernel, image, stop_at, workers)
+    best, witness, count = _walk_range(kernel.bits, image)
     if witness is None:
         raise AssertionError("nontrivial group but the walk found no nontrivial cycle")
     if parity.mul_vec(witness) or witness in image or witness.bit_count() != best:
@@ -342,27 +304,27 @@ def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis
     return DistanceResult(ExtNat(best), witness, count, ExtNat(best), True, dim)
 
 
-def homological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERNEL_CAP,
-                         lower_bound=None, workers: int = 1) -> DistanceResult:
-    """Level distance: exact, infinite for a trivial group, or an interval past ``cap``.
-
-    The side of the pair (A_j, A_{j+1}^T).  ``lower_bound``, when
-    supplied, lets the walk stop as soon as the current minimum reaches
-    it (a valid lower bound implies optimality).
-    """
+def _level_side(c: ChainComplex, level: int, cap: int, swapped: bool) -> DistanceResult:
+    """The side of the pair (A_j, A_{j+1}^T) at level ``level``, or of the swapped pair."""
     if not 0 <= level <= c.m:
         raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
     h, g = c.boundary(level), c.boundary(level + 1).transpose()
-    return _min_nontrivial(h, kernel_basis(h), row_space_basis(g),
-                           cap=cap, lower_bound=lower_bound, workers=workers)
+    if swapped:
+        h, g = g, h
+    return _min_nontrivial(h, kernel_basis(h), row_space_basis(g), cap=cap)
 
 
-def cohomological_distance(c: ChainComplex, level: int, *, cap: int = DEFAULT_KERNEL_CAP,
-                           lower_bound=None, workers: int = 1) -> DistanceResult:
+def homological_distance(c: ChainComplex, level: int, *,
+                         cap: int = DEFAULT_KERNEL_CAP) -> DistanceResult:
+    """Level distance: exact, infinite for a trivial group, or an interval past ``cap``.
+
+    The side of the pair (A_j, A_{j+1}^T).
+    """
+    return _level_side(c, level, cap, False)
+
+
+def cohomological_distance(c: ChainComplex, level: int, *,
+                           cap: int = DEFAULT_KERNEL_CAP) -> DistanceResult:
     """Conjugate-group distance: the side of the swapped pair (A_{j+1}^T, A_j),
     the homology side at level ``m - level`` of the transposed complex."""
-    if not 0 <= level <= c.m:
-        raise LevelOutOfRange(f"level {level} outside 0..{c.m}")
-    h, g = c.boundary(level + 1).transpose(), c.boundary(level)
-    return _min_nontrivial(h, kernel_basis(h), row_space_basis(g),
-                           cap=cap, lower_bound=lower_bound, workers=workers)
+    return _level_side(c, level, cap, True)

@@ -59,7 +59,7 @@ def _side_entry(result: DistanceResult, length: int) -> dict:
     return entry
 
 
-def distance_levels(cx: ChainComplex, levels, cap: int, threads: int) -> tuple[list[dict], bool]:
+def distance_levels(cx: ChainComplex, levels, cap: int) -> tuple[list[dict], bool]:
     """Distance entries per requested level; flags whether any side hit the cap.
 
     Level j's sides and ``k`` are those of its CSS code (A_j, A_{j+1}^T).
@@ -67,7 +67,7 @@ def distance_levels(cx: ChainComplex, levels, cap: int, threads: int) -> tuple[l
     entries = []
     cap_hit = False
     for j in levels:
-        params = css_parameters(extract_css(cx, j), cap=cap, workers=threads)
+        params = css_parameters(extract_css(cx, j), cap=cap)
         cap_hit = cap_hit or not params.z.exact or not params.x.exact
         n = params.n
         entries.append({

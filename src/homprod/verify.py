@@ -47,9 +47,9 @@ class VerifyOutcome:
             self.violations.append(message)
 
 
-def _exact_distances(cx: ChainComplex, levels: int, cap: int, workers: int) -> list[ExtNat | None]:
+def _exact_distances(cx: ChainComplex, levels: int, cap: int) -> list[ExtNat | None]:
     """Exact distances of levels 0..levels-1, None where the kernel exceeds the cap."""
-    results = (homological_distance(cx, j, cap=cap, workers=workers) for j in range(levels))
+    results = (homological_distance(cx, j, cap=cap) for j in range(levels))
     return [r.value if r.exact else None for r in results]
 
 
@@ -94,8 +94,7 @@ def _factor_pair(bundle: Bundle) -> tuple[ChainComplex, ChainComplex] | None:
     return None
 
 
-def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP,
-                  workers: int = 1) -> VerifyOutcome:
+def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP) -> VerifyOutcome:
     outcome = VerifyOutcome()
     cx = bundle.complex
     # Orthogonality already held, or loading would have failed.
@@ -110,7 +109,7 @@ def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP,
     rebuilt = tensor_product(a, b)
     outcome.check(rebuilt == cx, "bundle matrices differ from the rebuilt product")
 
-    sides = [homological_distance(cx, j, cap=cap, workers=workers) for j in range(cx.m + 1)]
+    sides = [homological_distance(cx, j, cap=cap) for j in range(cx.m + 1)]
     # k_j = dim Ker A_j - rank A_{j+1}, read off the kernels the sides
     # eliminated: rank A_{j+1} = n_{j+1} - dim Ker A_{j+1}, and 0 at j = m.
     kernels = [r.kernel_dim for r in sides] + [0]
@@ -126,8 +125,8 @@ def verify_bundle(bundle: Bundle, *, cap: int = DEFAULT_KERNEL_CAP,
     # The formula at level j reads factor distances at indices 0..j, so the
     # factors are walked only up to the highest level it is checked at.
     top = max((j for j in range(cx.m + 1) if d_c[j] is not None and k[j]), default=-1)
-    d_a = _exact_distances(a, min(a.m, top) + 1, cap, workers)
-    d_b = d_a if b == a else _exact_distances(b, min(b.m, top) + 1, cap, workers)
+    d_a = _exact_distances(a, min(a.m, top) + 1, cap)
+    d_b = d_a if b == a else _exact_distances(b, min(b.m, top) + 1, cap)
 
     for j in range(cx.m + 1):
         exact = d_c[j]

@@ -103,15 +103,14 @@ def naive_distance(parity_rows, n, image_cols):
     return best
 
 
-def ref_gray_walk(kernel_bits, image_rows, start, stop_at):
+def ref_gray_walk(kernel_bits, image_rows, start=0):
     """Reference for the engine's Gray walk: the same (best, witness, count).
 
     Step i, for 0 <= i < 2**len(kernel_bits), visits ``start`` XOR the
     kernel vectors selected by the bits of the reflected Gray code
     i ^ (i >> 1); step 0 visits ``start`` itself and counts only when it is
     nonzero.  A visited vector lighter than every earlier nontrivial one
-    (not in the span of ``image_rows``) becomes the witness, and the walk
-    stops once that weight is at most ``stop_at``.
+    (not in the span of ``image_rows``) becomes the witness.
     """
     image = ref_echelon(image_rows)
     best, witness, count = None, None, 0
@@ -125,8 +124,6 @@ def ref_gray_walk(kernel_bits, image_rows, start, stop_at):
         w = x.bit_count()
         if (best is None or w < best) and ref_reduce(image, x):
             best, witness = w, x
-            if stop_at is not None and best <= stop_at:
-                break
     return best, witness, count
 
 

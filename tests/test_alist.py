@@ -159,6 +159,13 @@ MALFORMED = [
     ("short row section", "\n".join(GOOD_LINES[:8]) + "\n", ParseError, 9),
     ("trailing line", _with() + "junk\n", ParseError, 10),
     ("trailing line after blanks", _with() + "\n\njunk\n", ParseError, 12),
+    # Tokens that ``int`` takes but the writer never emits.
+    ("signed header", _with(l1="+3 2"), ParseError, 1),
+    ("signed column index", _with(l6="1 +2"), ParseError, 6),
+    ("underscored row index", _with(l9="2 0_3"), ParseError, 9),
+    ("full-width digit", _with(l7="\uff12"), ParseError, 7),
+    ("non-ASCII space", _with(l8="1\u00a02"), ParseError, 8),
+    ("sign after CRLF lines", _with(l5="-1").replace("\n", "\r\n"), ParseError, 5),
 ]
 
 

@@ -338,11 +338,15 @@ def test_deterministic_output(toric_bundle, capsys):
     assert first == second
 
 
-def test_threads_flag(toric_bundle, capsys):
-    code, out, _ = run(capsys, "distance", str(toric_bundle), "--level", "1",
-                       "--threads", "2")
-    assert code == 0
-    assert parse_report(out)["levels"][0]["homology"]["d"] == 3
+@pytest.mark.parametrize("command", ["distance", "verify"])
+def test_threads_flag_is_ignored(toric_bundle, capsys, command):
+    # The walk runs in one process: the flag still parses, and changes nothing.
+    outputs = [run(capsys, command, str(toric_bundle), *flag)
+               for flag in ([], ["--threads", "1"], ["--threads", "2"])]
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    if command == "distance":
+        assert "threads" not in parse_report(outputs[0][1])["provenance"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -168,7 +168,7 @@ def test_parameters_match_distance_report():
                 params = css_parameters(extract_css(cx, j), cap)
                 assert params.z == homological_distance(cx, j, cap=cap)
                 assert params.x == cohomological_distance(cx, j, cap=cap)
-                (entry,), _ = distance_levels(cx, [j], cap, 1)
+                (entry,), _ = distance_levels(cx, [j], cap)
                 assert (entry["n"], entry["k"]) == (params.n, params.k)
                 hom, coh = entry["homology"], entry["cohomology"]
                 assert (hom["lower"], hom["upper"], hom["exact"]) == \
@@ -209,7 +209,7 @@ def test_a_pair_eliminates_each_matrix_once(monkeypatch):
         params = css_parameters(code)
         assert (len(rrefs), len(transposes)) == (2, 0)
         del rrefs[:], transposes[:]
-        (entry,), _ = distance_levels(cx, [j], DEFAULT_KERNEL_CAP, 1)
+        (entry,), _ = distance_levels(cx, [j], DEFAULT_KERNEL_CAP)
         assert (len(rrefs), len(transposes)) == (2, 1)
         assert transposes == [cx.boundary(j + 1).shape]
         assert entry["k"] == params.k
@@ -281,7 +281,7 @@ def test_distance_levels_are_pinned(case):
     spec, seed, a, b = case
     digest, expected = PINNED_DISTANCE_LEVELS[case]
     cx = power_complex(ensemble_matrix(spec, seed=seed), a, b)
-    entries, _ = distance_levels(cx, list(range(cx.m + 1)), DEFAULT_KERNEL_CAP, 1)
+    entries, _ = distance_levels(cx, list(range(cx.m + 1)), DEFAULT_KERNEL_CAP)
 
     def plain(v):
         return v if v is None else v.finite_value if v.is_finite else "inf"
