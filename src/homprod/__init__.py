@@ -11,7 +11,7 @@ from .gf2 import (
     row_space_basis,
     solve,
 )
-from .extnat import ExtNat, INFINITY, min_or_infinity
+from .extnat import ExtNat, INFINITY
 from .complexes import (
     ChainComplex,
     LevelOutOfRange,
@@ -80,7 +80,6 @@ __all__ = [
     "kernel_basis",
     "kunneth_ranks",
     "loads_alist",
-    "min_or_infinity",
     "one_complex",
     "power_complex",
     "product_dimensions",

@@ -81,10 +81,12 @@ def _ints(lines: list[str], lineno: int) -> list[int]:
 
 def loads_alist(text: str) -> BinMatrix:
     # Every token is ASCII digits, but ``int`` also takes a sign, an
-    # underscore or a non-ASCII digit: whole-text scans refuse those, and
-    # only a refusal looks for the line.
-    if not text.isascii() or "+" in text or "-" in text or "_" in text:
-        i = next(i for i, c in enumerate(text) if c in "+-_" or not c.isascii())
+    # underscore or a non-ASCII digit, and ``str.splitlines`` also breaks at
+    # form feed, vertical tab and \x1c-\x1e: whole-text scans refuse those,
+    # and only a refusal looks for the line.
+    refused = "+-_\f\v\x1c\x1d\x1e"
+    if not text.isascii() or any(c in text for c in refused):
+        i = next(i for i, c in enumerate(text) if c in refused or not c.isascii())
         raise ParseError(len((text[:i] + "|").splitlines()), f"{text[i]!r} is not an ASCII digit")
     lines = text.splitlines()
     header = _ints(lines, 1)

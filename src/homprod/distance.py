@@ -29,7 +29,8 @@ hold a lighter vector is stepped through.  A ruled-out run holds no
 candidate, so the result, witness and step count are those of the plain
 walk.  A nontrivial kernel basis vector of weight 1 proves distance 1
 with no walk.  Past the kernel cap it walks nothing and bounds the
-distance by the lightest nontrivial basis vector.
+distance by the lightest nontrivial basis vector.  A result stores only
+its interval; it is exact when the interval is one value.
 
 A classical code's distance under parity check p is level 1 of its
 two-space complex, ``homological_distance(one_complex(p), 1)``, with the
@@ -49,23 +50,25 @@ DEFAULT_KERNEL_CAP = 28
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Distance in ``[value, upper]``; ``exact`` means ``value == upper``.
+    """Distance in ``[value, upper]``; ``exact`` is derived: ``value == upper``.
 
-    Past the cap, ``exact`` is false and the interval is [1, weight of the
-    lightest kernel basis vector outside the image].  ``witness`` is an int
-    bitset over the level space (None unless exact and finite);
-    ``enumerated`` counts the kernel vectors the walk covered, including
-    those in runs of blocks ruled out by a weight bound without a step:
-    ``2**dim - 1`` for a walk, and 0 for the weight-1 fast path and past
-    the cap.
+    Past the cap the interval is [1, weight of the lightest kernel basis
+    vector outside the image], at least 2.  ``witness`` is an int bitset
+    over the level space (None unless exact and finite); ``enumerated``
+    counts the kernel vectors the walk covered, including those in runs of
+    blocks ruled out by a weight bound without a step: ``2**dim - 1`` for
+    a walk, and 0 for the weight-1 fast path and past the cap.
     """
 
     value: ExtNat
     witness: int | None
     enumerated: int
     upper: ExtNat
-    exact: bool
     kernel_dim: int
+
+    @property
+    def exact(self) -> bool:
+        return self.value == self.upper
 
 
 # A block is 2**_BLOCK_BITS consecutive Gray steps: the lowest kernel
@@ -286,22 +289,22 @@ def _min_nontrivial(parity: BinMatrix, kernel: EchelonBasis, image: EchelonBasis
     dim = len(kernel)
     if dim - len(image) == 0:
         # Trivial group: every cycle is a boundary.
-        return DistanceResult(INFINITY, None, 0, INFINITY, True, dim)
+        return DistanceResult(INFINITY, None, 0, INFINITY, dim)
     for b in kernel.bits:
         # A nontrivial cycle of weight 1 is a proof of distance 1 at any
         # kernel dimension; under a zero parity the basis is e_0, e_1, ...
         if b.bit_count() == 1 and b not in image:
-            return DistanceResult(ExtNat(1), b, 0, ExtNat(1), True, dim)
+            return DistanceResult(ExtNat(1), b, 0, ExtNat(1), dim)
     if dim > cap:
         # The group is nontrivial, so some kernel basis vector is not a boundary.
         upper = min(b.bit_count() for b in kernel.bits if b not in image)
-        return DistanceResult(ExtNat(1), None, 0, ExtNat(upper), False, dim)
+        return DistanceResult(ExtNat(1), None, 0, ExtNat(upper), dim)
     best, witness, count = _walk_range(kernel.bits, image)
     if witness is None:
         raise AssertionError("nontrivial group but the walk found no nontrivial cycle")
     if parity.mul_vec(witness) or witness in image or witness.bit_count() != best:
         raise AssertionError("distance witness failed post-hoc validation")
-    return DistanceResult(ExtNat(best), witness, count, ExtNat(best), True, dim)
+    return DistanceResult(ExtNat(best), witness, count, ExtNat(best), dim)
 
 
 def _level_side(c: ChainComplex, level: int, cap: int, swapped: bool) -> DistanceResult:

@@ -82,13 +82,3 @@ def as_extnat(x) -> ExtNat:
     if isinstance(x, int) and not isinstance(x, bool):
         return ExtNat(x)
     raise TypeError(f"cannot interpret {x!r} as an extended natural")
-
-
-def min_or_infinity(values) -> ExtNat:
-    """Minimum under the convention that an empty minimum is infinite."""
-    best = INFINITY
-    for v in values:
-        v = as_extnat(v)
-        if v < best:
-            best = v
-    return best

@@ -114,31 +114,6 @@ class BinMatrix:
     def identity(cls, n: int) -> "BinMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "BinMatrix":
-        """Build from an iterable of 0/1 row lists.
-
-        ``cols`` is required when there are no rows.
-        """
-        packed = []
-        width = cols
-        for row in rows:
-            row = list(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DimensionMismatch("ragged rows")
-            packed.append(_as_mask(row, width))
-        if width is None:
-            raise ValueError("cannot infer column count from an empty row list")
-        return cls(len(packed), width, packed)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BinMatrix":
-        """Parse rows of 0/1 characters separated by whitespace, e.g. ``"110 011"``."""
-        rows = [[int(ch) for ch in tok] for tok in text.split()]
-        return cls.from_rows(rows)
-
     @property
     def rows(self) -> int:
         return self._nrows

@@ -29,7 +29,7 @@ from functools import reduce
 from collections.abc import Sequence
 
 from .complexes import ChainComplex, _convolve, _product, one_complex
-from .extnat import ExtNat, INFINITY, as_extnat, min_or_infinity
+from .extnat import ExtNat, INFINITY, as_extnat
 from .gf2 import BinMatrix
 
 
@@ -138,4 +138,4 @@ def distance_upper_bound(d_a: Sequence, d_b: Sequence, level: int) -> ExtNat:
     classical distance under parity check p.
     """
     terms = (_at(d_a, i) * _at(d_b, level - i) for i in range(level + 1))
-    return min_or_infinity(terms)
+    return min(terms, default=INFINITY)

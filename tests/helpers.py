@@ -264,6 +264,21 @@ def naive_level_distance(cx: ChainComplex, j: int):
     return naive_distance(parity, cx.dim(j), image_cols)
 
 
+# --- fixed instances --------------------------------------------------------
+
+def from_rows(rows) -> BinMatrix:
+    """The matrix with these 0/1 row lists, at least one."""
+    rows = [list(row) for row in rows]
+    cols = len(rows[0])
+    assert all(len(row) == cols and set(row) <= {0, 1} for row in rows), rows
+    return BinMatrix(len(rows), cols, [sum(b << j for j, b in enumerate(row)) for row in rows])
+
+
+def from_string(text: str) -> BinMatrix:
+    """The matrix with rows of 0/1 characters separated by whitespace, e.g. ``"110 011"``."""
+    return from_rows([int(ch) for ch in tok] for tok in text.split())
+
+
 # --- random instances -------------------------------------------------------
 
 def random_matrix(rng: random.Random, rows, cols, density=0.5):

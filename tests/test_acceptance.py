@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import pytest
 
 from homprod import (
-    BinMatrix,
     ChainComplex,
     CssCode,
     INFINITY,
@@ -37,6 +36,7 @@ from homprod import (
 )
 from homprod.cli import main as cli_main
 from helpers import (
+    from_string,
     naive_level_distance,
     random_complex,
     random_full_row_rank,
@@ -199,7 +199,7 @@ def test_criterion_4_bound_sandwich(one_complex_product_instances):
 
 def test_criterion_5_closed_form_families():
     with criterion(5, "QHP block, circulant toric family, and power families"):
-        p2 = BinMatrix.from_string("11")
+        p2 = from_string("11")
 
         qhp = css_parameters(extract_css(power_complex(p2, 1, 1), 1))
         assert (qhp.n, qhp.k) == (5, 1)

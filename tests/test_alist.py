@@ -23,11 +23,11 @@ from homprod import (
     repetition_circulant,
     write_alist,
 )
-from helpers import mat_columns, random_sparse, ref_matmul
+from helpers import from_string, mat_columns, random_sparse, ref_matmul
 
 
 def test_smallest_case_layout():
-    assert dumps_alist(BinMatrix.from_string("11")) == \
+    assert dumps_alist(from_string("11")) == \
         "2 1\n1 2\n1 1\n2\n1\n1\n1 2\n"
 
 
@@ -54,7 +54,7 @@ def test_round_trip_random_sparse():
 def test_zero_padding_accepted_never_emitted():
     padded = "2 2\n2 2\n1 2\n2 1\n1 0\n1 2\n1 2\n2 0\n"
     m = loads_alist(padded)
-    assert m == BinMatrix.from_string("11 01")
+    assert m == from_string("11 01")
     assert "0" not in dumps_alist(m).splitlines()[4]
 
 
@@ -97,7 +97,7 @@ def test_duplicate_row_entry():
     assert err.value.line == 7
     assert "duplicate entry 1 in row 0" in str(err.value)
     # A row that lists its columns out of order is fine.
-    assert loads_alist("2 1\n1 2\n1 1\n2\n1\n1\n2 1\n") == BinMatrix.from_string("11")
+    assert loads_alist("2 1\n1 2\n1 1\n2\n1\n1\n2 1\n") == from_string("11")
     # A duplicate in a column is reported at the column's line.
     with pytest.raises(InconsistentWeights) as err:
         loads_alist("1 2\n2 1\n2\n1 1\n1 1\n1\n1\n")
@@ -112,10 +112,10 @@ def test_out_of_range_index():
 
 
 def test_trailing_blank_lines_tolerated():
-    text = dumps_alist(BinMatrix.from_string("11")) + "\n\n"
-    assert loads_alist(text) == BinMatrix.from_string("11")
+    text = dumps_alist(from_string("11")) + "\n\n"
+    assert loads_alist(text) == from_string("11")
     with pytest.raises(ParseError):
-        loads_alist(dumps_alist(BinMatrix.from_string("11")) + "junk\n")
+        loads_alist(dumps_alist(from_string("11")) + "junk\n")
 
 
 # A 2x3 matrix, rows {0, 1} and {1, 2}, as the writer writes it; each
@@ -166,6 +166,12 @@ MALFORMED = [
     ("full-width digit", _with(l7="\uff12"), ParseError, 7),
     ("non-ASCII space", _with(l8="1\u00a02"), ParseError, 8),
     ("sign after CRLF lines", _with(l5="-1").replace("\n", "\r\n"), ParseError, 5),
+    # Line breaks that ``str.splitlines`` takes but the writer never emits.
+    ("form feed line breaks", _with().replace("\n", "\f"), ParseError, 1),
+    ("vertical tab in a column line", _with(l6="1\v2"), ParseError, 6),
+    ("file separator line breaks", _with().replace("\n", "\x1c", 3), ParseError, 1),
+    ("group separator in a row line", _with(l9="2\x1d3"), ParseError, 9),
+    ("record separator after CRLF lines", _with(l7="2\x1e").replace("\n", "\r\n"), ParseError, 7),
 ]
 
 
@@ -192,7 +198,7 @@ ACCEPTED = [
                          ids=[case[0] for case in ACCEPTED])
 def test_accepted_alist_variants(text):
     m = loads_alist(text)
-    assert m == BinMatrix.from_string("110 011")
+    assert m == from_string("110 011")
     assert m.supports == ((0, 1), (1, 2))
     assert m.transpose().supports == ((0,), (0, 1), (1,))
     assert dumps_alist(m) == _with()
@@ -283,7 +289,7 @@ def _fail_writes_to(monkeypatch, name):
 
 def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "m.alist"
-    old = BinMatrix.from_string("110 011")
+    old = from_string("110 011")
     write_alist(old, path)
     _fail_writes_to(monkeypatch, "m.alist")
     with pytest.raises(OSError):
@@ -293,7 +299,7 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 def test_interrupted_manifest_write_keeps_the_old_manifest(tmp_path, monkeypatch):
-    cx = one_complex(BinMatrix.from_string("110 011"))
+    cx = one_complex(from_string("110 011"))
     save_bundle(cx, tmp_path, {"run": 1})
     before = sorted(os.listdir(tmp_path))
     manifest = (tmp_path / "manifest.json").read_text()
@@ -308,7 +314,7 @@ def test_interrupted_manifest_write_keeps_the_old_manifest(tmp_path, monkeypatch
 def test_interrupted_bundle_save_keeps_the_old_bundle(tmp_path, monkeypatch):
     # A one-space bundle overwritten by toric L=3, which has one more
     # boundary and other dims; the manifest, written last, fails.
-    old = one_complex(BinMatrix.from_string("110 011"))
+    old = one_complex(from_string("110 011"))
     save_bundle(old, tmp_path, {"run": 1})
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     _fail_writes_to(monkeypatch, "manifest.json")

@@ -25,6 +25,7 @@ from homprod import (
 )
 from homprod.bundle import load_bundle
 from homprod.cli import main
+from helpers import from_rows, from_string
 
 
 def run(capsys, *args):
@@ -261,7 +262,7 @@ def test_missing_bundle_gives_io_exit(tmp_path, capsys):
 def test_cap_exceeded_exit(tmp_path, capsys):
     out = tmp_path / "wide"
     seed = tmp_path / "seed.alist"
-    write_alist(BinMatrix.from_string("11111111"), seed)
+    write_alist(from_string("11111111"), seed)
     assert run(capsys, "build", "--matrix", str(seed), "--out", str(out))[0] == 0
     code, text, _ = run(capsys, "distance", str(out), "--level", "1", "--cap", "3")
     assert code == 3
@@ -274,8 +275,8 @@ def test_cap_exceeded_exit(tmp_path, capsys):
 def test_build_from_matrix_files(tmp_path, capsys):
     a1 = tmp_path / "a1.alist"
     a2 = tmp_path / "a2.alist"
-    write_alist(BinMatrix.from_string("11"), a1)
-    write_alist(BinMatrix.from_rows([[1], [1]]), a2)
+    write_alist(from_string("11"), a1)
+    write_alist(from_rows([[1], [1]]), a2)
     out = tmp_path / "bundle"
     code, _, _ = run(capsys, "build", "--matrix", str(a1), "--matrix", str(a2),
                      "--out", str(out))
@@ -288,8 +289,8 @@ def test_build_from_matrix_files(tmp_path, capsys):
 def test_build_rejects_matrices_that_do_not_compose_to_zero(tmp_path, capsys):
     a1 = tmp_path / "a1.alist"
     a2 = tmp_path / "a2.alist"
-    write_alist(BinMatrix.from_string("11"), a1)
-    write_alist(BinMatrix.from_rows([[1], [0]]), a2)
+    write_alist(from_string("11"), a1)
+    write_alist(from_rows([[1], [0]]), a2)
     out = tmp_path / "bundle"
     code, text, err = run(capsys, "build", "--matrix", str(a1), "--matrix", str(a2),
                           "--out", str(out))
@@ -469,7 +470,7 @@ def test_verify_flags_swapped_matrices(toric_bundle, capsys):
 
 def test_power_from_matrix_file(tmp_path, capsys):
     seed = tmp_path / "seed.alist"
-    write_alist(BinMatrix.from_string("11"), seed)
+    write_alist(from_string("11"), seed)
     out = tmp_path / "qhp"
     code, _, _ = run(capsys, "power", "--matrix", str(seed),
                      "--a", "1", "--b", "1", "--out", str(out))
@@ -488,7 +489,7 @@ def test_weight_one_distance_is_exact_past_the_cap(tmp_path, capsys):
     # although the kernel (dimension 2) is above the cap.
     rows = [[1, 1, 0, 0], [0, 1, 1, 0]]
     seed = tmp_path / "p.alist"
-    write_alist(BinMatrix.from_rows(rows), seed)
+    write_alist(from_rows(rows), seed)
     out = tmp_path / "p"
     assert run(capsys, "build", "--matrix", str(seed), "--out", str(out))[0] == 0
     code, text, _ = run(capsys, "distance", str(out), "--level", "1", "--cap", "1")

@@ -29,7 +29,7 @@ from homprod import (
     sparsity,
     tensor_product,
 )
-from helpers import random_complex, random_product_complex
+from helpers import from_string, random_complex, random_product_complex
 from homprod.report import distance_levels, render
 
 
@@ -44,14 +44,14 @@ def test_extract_css_orthogonality():
 
 
 def test_extract_css_level_zero_has_empty_gx():
-    cx = one_complex(BinMatrix.from_string("110 011"))
+    cx = one_complex(from_string("110 011"))
     code = extract_css(cx, 0)
     assert code.g_x.shape == (0, 2)
     assert code.g_z == cx.boundary(1).transpose()
 
 
 def test_qhp_five_qubit_parameters():
-    cx = power_complex(BinMatrix.from_string("11"), 1, 1)
+    cx = power_complex(from_string("11"), 1, 1)
     params = css_parameters(extract_css(cx, 1))
     assert (params.n, params.k) == (5, 1)
     assert params.x.value == 2 and params.z.value == 2
@@ -88,7 +88,7 @@ def test_parameters_k_matches_kunneth():
 
 
 def test_parameters_degrade_to_interval_past_cap():
-    cx = one_complex(BinMatrix.from_string("11111111"))
+    cx = one_complex(from_string("11111111"))
     params = css_parameters(extract_css(cx, 1), cap=3)
     assert not params.z.exact
     assert params.z.value == 1
@@ -153,7 +153,7 @@ def test_sparsity_examples():
 def test_past_cap_side_builds_each_kernel_once(monkeypatch):
     counted = Mock(wraps=codes.kernel_from_rref)
     monkeypatch.setattr(codes, "kernel_from_rref", counted)
-    params = css_parameters(extract_css(one_complex(BinMatrix.from_string("11111111")), 1),
+    params = css_parameters(extract_css(one_complex(from_string("11111111")), 1),
                             cap=3)
     assert not params.z.exact and params.x.exact
     assert counted.call_count == 2  # one per side

@@ -13,6 +13,8 @@ from homprod.gf2 import EchelonBasis
 from homprod import (
     BinMatrix,
     ChainComplex,
+    DistanceResult,
+    ExtNat,
     INFINITY,
     cohomological_distance,
     homological_distance,
@@ -23,6 +25,8 @@ from homprod import (
     repetition_circulant,
 )
 from helpers import (
+    from_rows,
+    from_string,
     mat_columns,
     naive_distance,
     naive_level_distance,
@@ -66,12 +70,12 @@ def toric_lattice_complex(L: int) -> ChainComplex:
             a2[h(r + 1, c)][f] ^= 1
             a2[t(r, c)][f] ^= 1
             a2[t(r, c + 1)][f] ^= 1
-    return ChainComplex([BinMatrix.from_rows(a1), BinMatrix.from_rows(a2)])
+    return ChainComplex([from_rows(a1), from_rows(a2)])
 
 
 def test_level0_is_one_without_full_row_rank():
     # A_1 = [1 1; 1 1] has rank 1 < 2 rows, so some unit vector is nontrivial.
-    cx = one_complex(BinMatrix.from_string("11 11"))
+    cx = one_complex(from_string("11 11"))
     result = homological_distance(cx, 0)
     assert result.value == 1
     assert result.witness is not None and result.witness.bit_count() == 1
@@ -79,7 +83,7 @@ def test_level0_is_one_without_full_row_rank():
 
 
 def test_level0_infinite_at_full_row_rank():
-    cx = one_complex(BinMatrix.from_string("110 011"))
+    cx = one_complex(from_string("110 011"))
     assert homological_distance(cx, 0).value == INFINITY
 
 
@@ -90,9 +94,9 @@ def test_level0_infinite_at_full_row_rank():
     ([[1, 1, 0, 0]], [[0, 0, 1, 0]], 1 << 3),
 ])
 def test_weight_one_cycle_is_exact_past_the_cap(rows, image_cols, witness):
-    boundaries = [BinMatrix.from_rows(rows)]
+    boundaries = [from_rows(rows)]
     if image_cols is not None:
-        boundaries.append(BinMatrix.from_rows(image_cols).transpose())
+        boundaries.append(from_rows(image_cols).transpose())
     cx = ChainComplex(boundaries)
     assert naive_level_distance(cx, 1) == 1
     # A unit vector on a zero column is a cycle.
@@ -144,7 +148,7 @@ def test_naive_oracle_toric_l2():
 
 
 def test_cohomological_distance_five_qubit_block():
-    cx = power_complex(BinMatrix.from_string("11"), 1, 1)
+    cx = power_complex(from_string("11"), 1, 1)
     assert cohomological_distance(cx, 1).value == 2
 
 
@@ -177,10 +181,10 @@ def classical_oracle(p: BinMatrix):
 
 
 def test_classical_distance_examples():
-    assert seed_distance(BinMatrix.from_string("11")) == 2
+    assert seed_distance(from_string("11")) == 2
     assert seed_distance(BinMatrix.identity(4)) == INFINITY
     # Parity check whose columns run through all nonzero 3-bit patterns.
-    hamming = BinMatrix.from_rows([
+    hamming = from_rows([
         [0, 0, 0, 1, 1, 1, 1],
         [0, 1, 1, 0, 0, 1, 1],
         [1, 0, 1, 0, 1, 0, 1],
@@ -226,7 +230,7 @@ def test_enumerated_counts_full_walk():
 
 
 def test_kernel_cap():
-    cx = one_complex(BinMatrix.from_string("1111111"))
+    cx = one_complex(from_string("1111111"))
     # Single parity row over 7 bits: kernel dimension 6.  Past the cap the
     # result is the interval [1, lightest kernel basis vector].
     bounded = homological_distance(cx, 1, cap=5)
@@ -281,6 +285,29 @@ def test_exact_result_upper_equals_value():
         for compute in (homological_distance, cohomological_distance):
             result = compute(cx, j)
             assert result.exact and result.upper == result.value
+
+
+@pytest.mark.parametrize("matrix, level, cap, value, upper, enumerated, exact", [
+    ("110 011", 0, 28, INFINITY, INFINITY, 0, True),  # trivial group
+    ("11 11", 0, 28, 1, 1, 0, True),  # a weight-1 kernel basis vector
+    ("1111111", 1, 5, 1, 2, 0, False),  # past the cap
+    ("1111111", 1, 6, 2, 2, 63, True),  # a walk
+], ids=["trivial", "weight-1", "past-cap", "walk"])
+def test_exact_is_derived_from_the_interval(matrix, level, cap, value, upper, enumerated, exact):
+    result = homological_distance(one_complex(from_string(matrix)), level, cap=cap)
+    assert (result.value, result.upper, result.enumerated) == (value, upper, enumerated)
+    assert result.exact is exact is (result.value == result.upper)
+
+
+def test_exact_is_not_a_field():
+    with pytest.raises(TypeError):
+        DistanceResult(ExtNat(2), 3, 3, ExtNat(2), 2, exact=True)
+    with pytest.raises(TypeError):
+        DistanceResult(ExtNat(2), 3, 3, ExtNat(2), True, 2)
+    result = DistanceResult(ExtNat(1), None, 0, ExtNat(2), 6)
+    assert result.exact is False and "exact" not in repr(result)
+    with pytest.raises(AttributeError):
+        result.exact = True
 
 
 def test_cohomology_equals_cochain_homology_in_every_field():

@@ -19,6 +19,8 @@ from homprod import (
 from helpers import (
     _kernel_of_columns,
     columns_as_masks,
+    from_rows,
+    from_string,
     mat_columns,
     random_matrix,
     ref_echelon,
@@ -38,18 +40,18 @@ def test_rank_zero_matrix():
 
 def test_rank_dependent_rows():
     # The three rows sum to zero, any two are independent.
-    m = BinMatrix.from_string("110 011 101")
+    m = from_string("110 011 101")
     assert rank(m) == 2
 
 
 def test_multiply_repetition_orthogonality():
-    a = BinMatrix.from_string("11")
-    b = BinMatrix.from_rows([[1], [1]])
+    a = from_string("11")
+    b = from_rows([[1], [1]])
     assert (a @ b) == BinMatrix.zeros(1, 1)
 
 
 def test_multiply_identity():
-    m = BinMatrix.from_string("101 110")
+    m = from_string("101 110")
     assert BinMatrix.identity(2) @ m == m
 
 
@@ -65,7 +67,7 @@ def test_multiply_dimension_mismatch():
 
 
 def test_kernel_repetition():
-    basis = kernel_basis(BinMatrix.from_string("11"))
+    basis = kernel_basis(from_string("11"))
     assert len(basis) == 1
     assert basis.bits == (0b11,)
 
@@ -83,7 +85,7 @@ def test_kernel_zero_matrix():
 def test_kernel_is_read_off_the_rref_without_elimination(monkeypatch):
     from homprod import gf2
 
-    m = BinMatrix.from_string("1011001 0110100 1101101")
+    m = from_string("1011001 0110100 1101101")
     rref = row_space_basis(m)
 
     def no_elimination(*args):
@@ -103,11 +105,11 @@ def test_solve_identity():
 
 
 def test_solve_no_solution():
-    assert solve(BinMatrix.from_rows([[1], [1]]), 0b01) is None
+    assert solve(from_rows([[1], [1]]), 0b01) is None
 
 
 def test_solve_underdetermined():
-    m = BinMatrix.from_string("11")
+    m = from_string("11")
     x = solve(m, 1)
     assert x in (0b01, 0b10)
     assert m.mul_vec(x) == 1
@@ -233,9 +235,9 @@ def matrices(draw, max_dim=16):
 
 
 EDGE_SHAPES = [BinMatrix(0, 5), BinMatrix(4, 0), BinMatrix(0, 0), BinMatrix.identity(3),
-               BinMatrix.from_string("1111 1111 0110"),  # rank-deficient
-               BinMatrix.from_string("10 01 11 10 01"),  # tall
-               BinMatrix.from_string("1011001 0110100")]  # wide
+               from_string("1111 1111 0110"),  # rank-deficient
+               from_string("10 01 11 10 01"),  # tall
+               from_string("1011001 0110100")]  # wide
 
 
 # Vectors are drawn at the widest size and masked to the matrix shape.

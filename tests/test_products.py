@@ -28,6 +28,7 @@ from homprod import (
 from homprod import complexes, gf2
 from homprod.bundle import load_bundle, save_bundle
 from helpers import (
+    from_string,
     naive_level_distance,
     random_complex,
     random_matrix,
@@ -39,7 +40,7 @@ from helpers import (
     ref_tensor_product,
 )
 
-P2 = BinMatrix.from_string("11")
+P2 = from_string("11")
 
 
 def factor_distances(cx):
@@ -179,7 +180,7 @@ def _counting_rank(monkeypatch):
 
 
 def test_power_eliminates_only_the_seed(monkeypatch):
-    p = BinMatrix.from_string("1100 0110 0011")
+    p = from_string("1100 0110 0011")
     counted = _counting_rank(monkeypatch)
     cx = power_complex(p, 2, 2)
     assert counted.call_count == 0
@@ -196,7 +197,7 @@ def test_power_multiplies_nothing_and_its_load_checks_every_pair(tmp_path, monke
     # A product composes to zero by construction; a loaded bundle is checked.
     counted = Mock(wraps=BinMatrix.__matmul__)
     monkeypatch.setattr(BinMatrix, "__matmul__", lambda x, y: counted(x, y))
-    cx = power_complex(BinMatrix.from_string("1100 0110 0011"), 2, 2)
+    cx = power_complex(from_string("1100 0110 0011"), 2, 2)
     assert counted.call_count == 0
     save_bundle(cx, tmp_path)
     assert load_bundle(tmp_path).complex == cx
@@ -212,7 +213,7 @@ def test_deep_fold_fills_its_ranks_in_one_step():
 
 
 def test_product_pickles_before_and_after_its_ranks():
-    cx = power_complex(BinMatrix.from_string("110 011"), 1, 1)
+    cx = power_complex(from_string("110 011"), 1, 1)
     copy = pickle.loads(pickle.dumps(cx))
     assert copy == cx
     assert copy.homology_ranks() == cx.homology_ranks() == (0, 1, 0)
@@ -220,7 +221,7 @@ def test_product_pickles_before_and_after_its_ranks():
 
 
 def test_loaded_product_still_eliminates(tmp_path, monkeypatch):
-    cx = power_complex(BinMatrix.from_string("110 011"), 1, 1)
+    cx = power_complex(from_string("110 011"), 1, 1)
     save_bundle(cx, tmp_path)
     counted = _counting_rank(monkeypatch)
     loaded = load_bundle(tmp_path).complex
@@ -262,6 +263,9 @@ def test_upper_bound_examples():
     assert distance_upper_bound([ExtNat(3)], [ExtNat(4)], 0) == 12
     # A finite product beats any term with an infinite factor.
     assert distance_upper_bound([ExtNat(2), INFINITY], [INFINITY, ExtNat(5)], 1) == 10
+    # A minimum over no terms, or over infinite terms only, is infinite.
+    assert distance_upper_bound(d_a, d_b, -1) == INFINITY
+    assert distance_upper_bound([], [], 0) == INFINITY
 
 
 def test_lower_bound_rank_cases():
@@ -280,7 +284,7 @@ def test_prediction_examples():
     d_a = factor_distances(a)
     assert distance_upper_bound(d_a, factor_distances(one_complex(P2.transpose())), 1) == 2
     # Full-row-rank repetition-3 parity crossed with its transpose.
-    rep3 = BinMatrix.from_string("110 011")
+    rep3 = from_string("110 011")
     d_rep = factor_distances(one_complex(rep3))
     assert d_rep == [INFINITY, ExtNat(3)]
     assert distance_upper_bound(d_rep, factor_distances(one_complex(rep3.transpose())), 1) == 3
@@ -305,7 +309,7 @@ def test_power_dimension_closed_form():
     # Level-a dimension of the (a+b)-fold power for a full-row-rank r x c
     # seed: sum over i of C(a,i) C(b,i) r^(2i) c^(a+b-2i), derived from the
     # product dimension formula and checked against construction.
-    seeds = [P2, BinMatrix.from_string("110 011")]
+    seeds = [P2, from_string("110 011")]
     for p in seeds:
         r, c = p.shape
         for a in range(3):

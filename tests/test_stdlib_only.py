@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -54,7 +55,9 @@ def test_module_imports_are_used():
 REMOVED_NAMES = ("one_complex_product", "ProductLayout", "product_layout", "validate",
                  "classical_distance", "KernelTooLarge", "puncture", "shorten_parity",
                  "IndexOutOfRange", "kron", "hstack", "vstack", "column_space_basis",
-                 "EnsembleSpec", "generate_matrix", "repetition_parity")
+                 "EnsembleSpec", "generate_matrix", "repetition_parity", "min_or_infinity")
+# Public class attributes deleted from the library; each must stay gone.
+REMOVED_ATTRIBUTES = {"BinMatrix": ("from_rows", "from_string")}
 
 
 def test_public_names_resolve_once_and_removed_ones_stay_gone():
@@ -62,4 +65,9 @@ def test_public_names_resolve_once_and_removed_ones_stay_gone():
 
     assert [n for n in homprod.__all__ if not hasattr(homprod, n)] == []
     assert len(set(homprod.__all__)) == len(homprod.__all__)
-    assert [n for n in REMOVED_NAMES if n in homprod.__all__ or hasattr(homprod, n)] == []
+    modules = [homprod] + [importlib.import_module(f"homprod.{p.stem}")
+                           for p in SOURCES if p.stem not in ("__init__", "__main__")]
+    assert [f"{m.__name__}.{n}" for m in modules for n in REMOVED_NAMES if hasattr(m, n)] == []
+    assert [n for n in REMOVED_NAMES if n in homprod.__all__] == []
+    assert [f"{cls}.{n}" for cls, names in REMOVED_ATTRIBUTES.items()
+            for n in names if hasattr(getattr(homprod, cls), n)] == []
