@@ -13,9 +13,10 @@ Some writers pad short adjacency lines with zeros; padding is accepted on
 read and never emitted on write.
 
 The reader keeps both adjacency sections, after cross-checking them, as
-the matrix's row and column supports, and builds no row words: those are
-built on the first use of ``BinMatrix.bits``, and a matrix that is only
-written, transposed or weighed never builds them.  The writer reads the
+the matrix's row and column supports, whose entries share one int object
+per index, and builds no row words: those are built on the first use of
+``BinMatrix.bits``, and a matrix that is only written, transposed,
+weighed or checked for orthogonality never keeps them.  The writer reads the
 same supports; a matrix built from row words derives them once.  A file
 is decoded as ASCII, and a byte that is not ASCII is a ``ParseError`` at
 its line.
@@ -110,8 +111,12 @@ def loads_alist(text: str) -> BinMatrix:
     # supports.  Each row line is then checked against its list: first as
     # text, which is how the writer writes it, and failing that as read,
     # and sorted only when that fails.  The lists become the row supports.
+    # Both supports share their index objects: a row support holds the one
+    # int of each column, and a column support takes the 0-based index of
+    # each 1-based entry e from one table, ``row_index[e]``.
     row_cols: list[list[int]] = [[] for _ in range(rows)]
     col_rows = []
+    row_index = list(range(-1, rows)).__getitem__
     for j in range(cols):
         lineno = 5 + j
         entries = _ints(lines, lineno)
@@ -127,9 +132,7 @@ def loads_alist(text: str) -> BinMatrix:
             if listed and listed[-1] == j:
                 raise InconsistentWeights(lineno, f"duplicate entry {e} in column {j}")
             listed.append(j)
-        col = [e - 1 for e in entries]
-        col.sort()
-        col_rows.append(tuple(col))
+        col_rows.append(tuple(sorted(map(row_index, entries))))
     name = [str(k) for k in range(1, cols + 1)].__getitem__
     for i in range(rows):
         lineno = 5 + cols + i

@@ -3,7 +3,10 @@
 A save writes every file to a temporary name before it renames any of them
 into place, so a failed write leaves the old bundle as it was and no
 temporary file behind.  The renames are one per file: a save cut off among
-them can still leave a mix of old and new files.
+them can still leave a mix of old and new files.  The boundaries are
+written in level order and each is let go before the next is asked for,
+so a save fed by a generator (``power`` writes each product boundary as it
+builds it) holds one boundary at a time.
 """
 
 from __future__ import annotations
@@ -11,12 +14,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from .alist import ParseError, _decode, _write_text_atomic, read_alist, write_alist
 from .complexes import ChainComplex
-from .gf2 import DimensionMismatch
+from .gf2 import BinMatrix, DimensionMismatch
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_TAG = "complex-bundle/1"
@@ -39,21 +43,30 @@ class Bundle:
 
 def save_bundle(cx: ChainComplex, directory, provenance: dict | None = None) -> Path:
     """Write the boundaries and a manifest; returns the bundle directory."""
+    return _save_boundaries(directory, cx.dims, iter(cx.boundaries), provenance)
+
+
+def _save_boundaries(directory, dims: Sequence[int], boundaries: Iterator[BinMatrix],
+                     provenance: dict | None) -> Path:
+    """``save_bundle`` of the complex with these dims whose boundaries
+    ``A_1, ..., A_m`` the iterator yields in order; each boundary is
+    written, and dropped, before the next is asked for."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = [f"A{j}.alist" for j in range(1, cx.m + 1)]
+    m = len(dims) - 1
+    names = [f"A{j}.alist" for j in range(1, m + 1)]
     manifest = {
         "format": FORMAT_TAG,
-        "m": cx.m,
-        "dims": list(cx.dims),
+        "m": m,
+        "dims": list(dims),
         "boundaries": names,
         "provenance": provenance or {},
     }
     # Every file goes to a temporary name first; the manifest is renamed last.
     staged = {name: directory / f".{name}.{os.getpid()}.save" for name in [*names, MANIFEST_NAME]}
     try:
-        for name, boundary in zip(names, cx.boundaries):
-            write_alist(boundary, staged[name])
+        for name in names:
+            write_alist(next(boundaries), staged[name])
         _write_text_atomic(staged[MANIFEST_NAME],
                            json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
         for name, tmp in staged.items():

@@ -9,18 +9,24 @@ and reports embed full provenance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shutil
 import sys
 from pathlib import Path
 
 from .alist import ParseError, _write_text_atomic, read_alist, write_alist
-from .bundle import load_bundle, save_bundle
+from .bundle import _save_boundaries, load_bundle, save_bundle
 from .codes import InvalidSpec, ensemble_matrix, extract_css
 from .complexes import ChainComplex, LevelOutOfRange, NotOrthogonal, one_complex
 from .distance import DEFAULT_KERNEL_CAP
 from .gf2 import DimensionMismatch
-from .products import InvalidExponents, power_complex, tensor_product
+from .products import (
+    InvalidExponents,
+    _power_split,
+    _product_boundaries,
+    product_dimensions,
+)
 from .report import FORMATS, analysis_levels, distance_levels, provenance, render
 from .verify import verify_bundle
 
@@ -78,19 +84,26 @@ def cmd_build(args, parser) -> int:
     return EXIT_OK
 
 
+def _save_product(a: ChainComplex, b: ChainComplex, out: Path, prov: dict) -> list[int]:
+    """Save the product of ``a`` and ``b`` as a bundle, writing each boundary
+    as it is built; returns its dims."""
+    dims = [product_dimensions(a, b, level) for level in range(a.m + b.m + 1)]
+    _save_boundaries(out, dims, _product_boundaries(a, b), prov)
+    return dims
+
+
 def cmd_product(args, parser) -> int:
     a = load_bundle(args.a_bundle)
     b = load_bundle(args.b_bundle)
-    cx = tensor_product(a.complex, b.complex)
     out = Path(args.out)
     source = {"kind": "product", "factors": ["factors/0", "factors/1"]}
-    save_bundle(cx, out, provenance("product", source=source))
+    dims = _save_product(a.complex, b.complex, out, provenance("product", source=source))
     for i, factor in enumerate((a, b)):
         dest = out / "factors" / str(i)
         if dest.exists():
             shutil.rmtree(dest)
         shutil.copytree(factor.path, dest)
-    print(f"wrote bundle {out} (m={cx.m}, dims={list(cx.dims)})")
+    print(f"wrote bundle {out} (m={len(dims) - 1}, dims={dims})")
     return EXIT_OK
 
 
@@ -104,12 +117,16 @@ def cmd_power(args, parser) -> int:
         source["seed_file"] = str(args.matrix[0])
     else:
         source.update(ensemble=args.ensemble, seed=args.seed)
-    cx = power_complex(p, args.a, args.b)
+    prov = provenance("power", seed=args.seed, a=args.a, b=args.b, source=source)
+    rest, last = _power_split(p, args.a, args.b)
     out = Path(args.out)
-    save_bundle(cx, out, provenance("power", seed=args.seed, a=args.a, b=args.b,
-                                    source=source))
+    if rest is None:
+        save_bundle(last, out, prov)
+        dims = list(last.dims)
+    else:
+        dims = _save_product(rest, last, out, prov)
     write_alist(p, out / "seed.alist")
-    print(f"wrote bundle {out} (m={cx.m}, dims={list(cx.dims)})")
+    print(f"wrote bundle {out} (m={len(dims) - 1}, dims={dims})")
     return EXIT_OK
 
 
@@ -170,7 +187,9 @@ def cmd_export_css(args, parser) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="homprod",
         description="Build product chain complexes over GF(2) and compute code parameters.",
@@ -195,13 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    "a matrix in a file goes through --matrix")
     p.add_argument("--out", required=True)
     add_common(p, seed=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("product", help="tensor product of two bundles")
     p.add_argument("a_bundle")
     p.add_argument("b_bundle")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("power", help="product of copies of K(P) and K(P^T)")
     p.add_argument("--matrix", action="append", default=[], help="seed alist file")
@@ -211,30 +228,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--out", required=True)
     add_common(p, seed=True)
-    p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("analyze", help="dimensions, homology ranks, sparsity")
     p.add_argument("bundle")
     add_common(p, fmt=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("distance", help="exact distances and witnesses per level")
     p.add_argument("bundle")
     p.add_argument("--level", action="append", type=int,
                    help="level to search; repeatable (a repeat is walked once); default all")
     add_common(p, cap=True, fmt=True)
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="check product predictions and the distance formula")
     p.add_argument("bundle")
     add_common(p, cap=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-css", help="write G_X and G_Z alist files for a level")
     p.add_argument("bundle")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_css)
 
     return parser
 
@@ -242,8 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Looked up by name on each call, so the cached parser runs whatever
+    # ``cmd_*`` function the module holds now.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, parser)
+        return command(args, parser)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,8 +7,13 @@ operators at the two ends are materialized as empty matrices so that rank
 and homology formulas need no branches.
 
 ``ChainComplex(...)`` takes matrices from outside the program and checks
-both conditions.  A tensor product of complexes is a complex by
-construction, so ``_product`` checks shapes only.
+both conditions.  Each product is tested in whichever orientation,
+``A_j @ A_{j+1}`` or ``A_{j+1}^T @ A_j^T``, has the narrower right
+operand, whose row words are the ones the product builds; a matrix read
+from an alist builds them for that product alone and keeps none, so a
+loaded complex holds at most one operand's words at a time.  A tensor
+product of complexes is a complex by construction, so ``_product``
+checks shapes only.
 
 Boundary ranks are eliminated on first request and cached.  A product
 instead carries the complexes it is the product of; by the Künneth
@@ -46,6 +51,17 @@ def _convolve(k_a: Sequence[int], k_b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _composes_to_zero(left: BinMatrix, right: BinMatrix) -> bool:
+    """Whether ``left @ right`` is zero, tested as ``right^T @ left^T`` when
+    that product's right operand, ``left^T``, has fewer columns than
+    ``right``.  The right operand's words are the only ones the product
+    builds, so this builds the narrower words; a transpose of a matrix that
+    holds supports is a free swap."""
+    if left.rows < right.cols:
+        left, right = right.transpose(), left.transpose()
+    return (left @ right).is_zero()
+
+
 class ChainComplex:
     """Validated chain complex; immutable after construction."""
 
@@ -54,7 +70,7 @@ class ChainComplex:
     def __init__(self, boundaries: Sequence[BinMatrix]):
         self._set(boundaries, None)
         for j in range(1, self.m):
-            if not (self._boundaries[j - 1] @ self._boundaries[j]).is_zero():
+            if not _composes_to_zero(self._boundaries[j - 1], self._boundaries[j]):
                 raise NotOrthogonal(j + 1)
 
     def _set(self, boundaries: Sequence[BinMatrix], factors) -> None:

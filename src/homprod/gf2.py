@@ -7,11 +7,12 @@ an alist file instead holds its supports, the sorted column indices of
 each row and the sorted row indices of each column, and builds its row
 words on the first use of ``bits``; writes, transposes (a swap of the
 two), weights and the left operand of a product read the supports and
-never need the words.  A matrix built from row words runs the same
-operations on its words, which costs less than building supports for one
-use; it derives its supports only on request, for a write, and keeps no
-copy.  Values never change after construction (the lazily built words
-are a cache), so they can be shared freely.
+never need the words, and the right operand of a product builds them
+for that product alone and does not keep them.  A matrix built from row
+words runs the same operations on its words, which costs less than
+building supports for one use; it derives its supports only on request,
+for a write, and keeps no copy.  Values never change after construction
+(the lazily built words are a cache), so they can be shared freely.
 
 One forward-elimination primitive, ``_forward``, does all elimination.
 Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
@@ -134,14 +135,21 @@ class BinMatrix:
         """
         bits = self._bits
         if bits is None:
-            words = []
-            for s in self._supports:
-                b = 0
-                for j in s:
-                    b |= 1 << j
-                words.append(b)
-            bits = self._bits = tuple(words)
+            bits = self._bits = tuple(self._words())
         return bits
+
+    def _words(self) -> Sequence[int]:
+        """The row words: the stored ones, else built from the supports and
+        not kept."""
+        if self._bits is not None:
+            return self._bits
+        words = []
+        for s in self._supports:
+            b = 0
+            for j in s:
+                b |= 1 << j
+            words.append(b)
+        return words
 
     @property
     def supports(self) -> tuple[tuple[int, ...], ...]:
@@ -183,14 +191,17 @@ class BinMatrix:
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
         """Row i of the product is the XOR of the words of ``other`` at the
-        ones of row i, read off this matrix's supports or row words."""
+        ones of row i, read off this matrix's supports or row words.
+
+        ``other`` keeps no words that it did not hold before: a matrix that
+        holds only supports builds them for this product alone."""
         if not isinstance(other, BinMatrix):
             return NotImplemented
         if self._ncols != other._nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        obits = other.bits
+        obits = other._words()
         out = []
         if self._supports is not None:
             for s in self._supports:

@@ -10,7 +10,10 @@ two-space complex K(p), are ``tensor_product(a, one_complex(p))``.
 Each product boundary is assembled in one pass: every row word is the
 spread row of a factor boundary of a plus a shifted row of a factor
 boundary of b, written straight into the result with no Kronecker or
-stacking intermediates.
+stacking intermediates.  The boundaries can also be had one at a time,
+in level order, from the fold of every factor of a power but the last
+and that last factor, which is how a power is written to disk with one
+product boundary's words in memory at a time.
 
 The formulas are arithmetic over factor data (dimensions, homology ranks,
 per-level distances); none of them searches for a distance itself.  Over
@@ -26,7 +29,7 @@ orthogonality and eliminates its own boundaries, which keeps
 from __future__ import annotations
 
 from functools import reduce
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .complexes import ChainComplex, _convolve, _product, one_complex
 from .extnat import ExtNat, INFINITY, as_extnat
@@ -105,8 +108,22 @@ def tensor_product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     no product boundary is ever eliminated: only the complexes at the
     bottom of a fold of products are.
     """
-    return _product(
-        [_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1)], a, b)
+    return _product(list(_product_boundaries(a, b)), a, b)
+
+
+def _product_boundaries(a: ChainComplex, b: ChainComplex) -> Iterator[BinMatrix]:
+    """The boundaries of the product of ``a`` and ``b``, in level order, each
+    built when it is asked for."""
+    return (_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1))
+
+
+def _power_split(p: BinMatrix, a: int, b: int) -> tuple[ChainComplex | None, ChainComplex]:
+    """The power of ``power_complex`` as (the left fold of every factor but
+    the last, None for a single factor; the last factor)."""
+    if a < 0 or b < 0 or a + b < 1:
+        raise InvalidExponents(f"need a + b >= 1 nonnegative factors, got a={a}, b={b}")
+    *rest, last = [one_complex(p)] * a + [one_complex(p.transpose())] * b
+    return (reduce(tensor_product, rest) if rest else None), last
 
 
 def power_complex(p: BinMatrix, a: int, b: int) -> ChainComplex:
@@ -116,10 +133,8 @@ def power_complex(p: BinMatrix, a: int, b: int) -> ChainComplex:
     columns: the result then has a single level (level ``a``) with nonzero
     homology rank.
     """
-    if a < 0 or b < 0 or a + b < 1:
-        raise InvalidExponents(f"need a + b >= 1 nonnegative factors, got a={a}, b={b}")
-    factors = [one_complex(p)] * a + [one_complex(p.transpose())] * b
-    return reduce(tensor_product, factors)
+    rest, last = _power_split(p, a, b)
+    return last if rest is None else tensor_product(rest, last)
 
 
 def _at(distances: Sequence, i: int) -> ExtNat:

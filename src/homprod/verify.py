@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 
 from .alist import ParseError, read_alist
 from .bundle import Bundle, load_bundle
-from .complexes import ChainComplex, one_complex
+from .complexes import ChainComplex
 from .distance import DEFAULT_KERNEL_CAP, homological_distance
 from .extnat import ExtNat, INFINITY
 from .products import (
+    _power_split,
     distance_upper_bound,
     kunneth_ranks,
-    power_complex,
     product_dimensions,
     tensor_product,
 )
@@ -84,13 +84,7 @@ def _factor_pair(bundle: Bundle) -> tuple[ChainComplex, ChainComplex] | None:
         b_exp = _source_field(source, "b", _is_count, "an int >= 0")
         if a_exp + b_exp < 2:
             return None
-        if b_exp >= 1:
-            prev = power_complex(p, a_exp, b_exp - 1)
-            last = one_complex(p.transpose())
-        else:
-            prev = power_complex(p, a_exp - 1, 0)
-            last = one_complex(p)
-        return prev, last
+        return _power_split(p, a_exp, b_exp)
     return None
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homprod import alist
+from homprod import alist, bundle
 from homprod.bundle import load_bundle, save_bundle
 from homprod.cli import main as cli_main
 from homprod import (
@@ -23,7 +24,7 @@ from homprod import (
     repetition_circulant,
     write_alist,
 )
-from helpers import from_string, mat_columns, random_sparse, ref_matmul
+from helpers import from_string, mat_columns, random_matrix, random_sparse, ref_matmul
 
 
 def test_smallest_case_layout():
@@ -225,9 +226,10 @@ def test_read_write_transpose_and_weights_build_no_row_words():
         (source.row_weights(), source.col_weights(), source.col_weights(), False)
     assert [m[i, 7] for i in range(30)] == [(w >> 7) & 1 for w in source.bits]
     assert m._bits is None and t._bits is None
-    # The left operand of a product reads its supports; the right one builds its words.
-    m @ t
-    assert m._bits is None and t._bits is not None
+    # The left operand of a product reads its supports; the right one builds
+    # its words for that product and keeps none.
+    assert list((m @ t).bits) == ref_matmul(source, source.transpose())
+    assert m._bits is None and t._bits is None
     assert m.bits == source.bits and list(t.bits) == mat_columns(source)
 
 
@@ -317,15 +319,77 @@ def test_interrupted_bundle_save_keeps_the_old_bundle(tmp_path, monkeypatch):
     old = one_complex(from_string("110 011"))
     save_bundle(old, tmp_path, {"run": 1})
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    new = power_complex(repetition_circulant(3), 1, 1)
+
+    def assert_old_bundle_kept():
+        # Every file was still under its temporary name, so nothing was
+        # renamed into place, and every temporary file is gone.
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        loaded = load_bundle(tmp_path)
+        assert loaded.complex.boundaries == old.boundaries
+        assert loaded.provenance == {"run": 1}
+
     _fail_writes_to(monkeypatch, "manifest.json")
     with pytest.raises(OSError):
-        save_bundle(power_complex(repetition_circulant(3), 1, 1), tmp_path, {"run": 2})
-    # Every file was still under its temporary name, so nothing was renamed
-    # into place, and every temporary file is gone.
-    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
-    loaded = load_bundle(tmp_path)
-    assert loaded.complex.boundaries == old.boundaries
-    assert loaded.provenance == {"run": 1}
+        save_bundle(new, tmp_path, {"run": 2})
+    assert_old_bundle_kept()
+    monkeypatch.undo()
+
+    # A streamed save cut off at boundary 2, first by its iterator, then by
+    # the write of that boundary.
+    def cut_off():
+        yield new.boundaries[0]
+        raise RuntimeError("boundary 2 is not there")
+
+    with pytest.raises(RuntimeError):
+        bundle._save_boundaries(tmp_path, new.dims, cut_off(), {"run": 3})
+    assert_old_bundle_kept()
+    _fail_writes_to(monkeypatch, "A2.alist")
+    with pytest.raises(OSError):
+        bundle._save_boundaries(tmp_path, new.dims, iter(new.boundaries), {"run": 4})
+    assert_old_bundle_kept()
+
+
+def test_streamed_save_lets_each_boundary_go_before_the_next(tmp_path):
+    cx = power_complex(from_string("1100 0110 0011"), 2, 1)
+    refs = []
+
+    def fresh_boundaries():
+        for b in cx.boundaries:
+            fresh = BinMatrix(b.rows, b.cols, b.bits)
+            yield fresh
+            # Back here only when the writer asks for the next boundary:
+            # this frame and getrefcount's argument are the only references.
+            refs.append(sys.getrefcount(fresh))
+            del fresh
+
+    bundle._save_boundaries(tmp_path, cx.dims, fresh_boundaries(), {"run": 1})
+    assert refs == [2] * (cx.m - 1)
+    assert load_bundle(tmp_path).complex == cx
+
+
+def test_loaded_bundle_keeps_no_row_words(tmp_path):
+    # A 3 x 4 seed gives a 4D power whose three pairs are checked in both
+    # orientations; no check leaves words on a boundary.
+    cx = power_complex(from_string("1100 0110 0011"), 2, 2)
+    pairs = list(zip(cx.boundaries, cx.boundaries[1:]))
+    assert {left.rows < right.cols for left, right in pairs} == {True, False}
+    save_bundle(cx, tmp_path)
+    loaded = load_bundle(tmp_path).complex
+    assert all(b._bits is None for b in loaded.boundaries)
+    assert loaded == cx
+
+
+def test_read_supports_share_one_int_per_index():
+    # 300 x 300, so most indices are past the interpreter's small-int cache.
+    source = random_matrix(random.Random(605), 300, 300, density=0.02)
+    m = loads_alist(dumps_alist(source))
+    for supports in (m.supports, m.transpose().supports):
+        seen = {}
+        for support in supports:
+            for index in support:
+                assert seen.setdefault(index, index) is index
+        assert len(seen) > 256
 
 
 def test_interrupted_css_export_keeps_the_old_metadata(tmp_path, monkeypatch, capsys):

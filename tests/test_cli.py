@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import homprod
 from homprod import (
@@ -20,10 +23,12 @@ from homprod import (
     css_parameters,
     distance,
     gf2,
+    power_complex,
     read_alist,
     write_alist,
 )
-from homprod.bundle import load_bundle
+from homprod import cli
+from homprod.bundle import load_bundle, save_bundle
 from homprod.cli import main
 from helpers import from_rows, from_string
 
@@ -313,9 +318,10 @@ def test_export_css_reload_reproduces_parameters(toric_bundle, tmp_path, capsys)
 
 
 def test_export_css_trusts_the_loaded_complex(tmp_path, capsys, monkeypatch):
-    # The load checks the 4D complex's 3 consecutive products; the code cut
-    # from it is orthogonal by construction, so only g_z's one transpose
-    # is left, and no product is checked again.
+    # The load checks the 4D complex's 3 consecutive pairs, one product
+    # each; the code cut from it is orthogonal by construction, so outside
+    # those checks only g_z's one transpose is left, and no product is
+    # checked again.
     out = tmp_path / "t4"
     assert run(capsys, "power", "--ensemble", "rep:3", "--a", "2", "--b", "2",
                "--out", str(out))[0] == 0
@@ -323,10 +329,20 @@ def test_export_css_trusts_the_loaded_complex(tmp_path, capsys, monkeypatch):
     transposes = Mock(wraps=BinMatrix.transpose)
     monkeypatch.setattr(BinMatrix, "__matmul__", lambda x, y: matmuls(x, y))
     monkeypatch.setattr(BinMatrix, "transpose", lambda x: transposes(x))
+    check = complexes._composes_to_zero
+    checked = []
+
+    def counted_check(left, right):
+        before = transposes.call_count
+        result = check(left, right)
+        checked.append(transposes.call_count - before)
+        return result
+
+    monkeypatch.setattr(complexes, "_composes_to_zero", counted_check)
     code, _, _ = run(capsys, "export-css", str(out), "--level", "2",
                      "--out", str(tmp_path / "css"))
     assert code == 0
-    assert (matmuls.call_count, transposes.call_count) == (3, 1)
+    assert (len(checked), matmuls.call_count, transposes.call_count - sum(checked)) == (3, 3, 1)
     # A pair given from outside keeps the full check.
     g_x = read_alist(tmp_path / "css" / "gx.alist")
     with pytest.raises(InvalidSpec):
@@ -515,6 +531,68 @@ def test_power_from_the_seed_file_matches_the_ensemble(toric_bundle, tmp_path, c
                "--a", "1", "--b", "1", "--out", str(out))[0] == 0
     for name in ("A1.alist", "A2.alist"):
         assert (out / name).read_bytes() == (toric_bundle / name).read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=st.lists(st.integers(0, 15), min_size=0, max_size=3),
+       exponents=st.sampled_from([(1, 0), (0, 1), (0, 2), (2, 2), (2, 0), (1, 1), (1, 2)]))
+@example(words=[0b0011, 0b0110, 0b1100], exponents=(1, 0))
+@example(words=[0b0011, 0b0110, 0b1100], exponents=(0, 1))
+@example(words=[0b0011, 0b0110, 0b1100], exponents=(0, 2))
+@example(words=[0b0011, 0b0110, 0b1100], exponents=(2, 2))
+@example(words=[], exponents=(2, 2))
+def test_streamed_power_writes_the_saved_power(tmp_path_factory, words, exponents):
+    # power writes each product boundary as it builds it; every file is the
+    # one save_bundle writes for the whole complex.
+    tmp = tmp_path_factory.mktemp("power")
+    p = BinMatrix(len(words), 4, words)
+    write_alist(p, tmp / "p.alist")
+    a, b = exponents
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["power", "--matrix", str(tmp / "p.alist"), "--a", str(a), "--b", str(b),
+                     "--out", str(tmp / "streamed")]) == 0
+    cx = power_complex(p, a, b)
+    assert stdout.getvalue() == f"wrote bundle {tmp / 'streamed'} (m={cx.m}, dims={list(cx.dims)})\n"
+    prov = load_bundle(tmp / "streamed").provenance
+    save_bundle(cx, tmp / "saved", prov)
+    streamed = sorted(os.listdir(tmp / "streamed"))
+    assert streamed == sorted(os.listdir(tmp / "saved") + ["seed.alist"])
+    for name in streamed:
+        if name != "seed.alist":
+            assert (tmp / "streamed" / name).read_bytes() == (tmp / "saved" / name).read_bytes()
+
+
+def test_cached_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    # The parser is built once per process; a sequence of calls, a usage
+    # error among them, answers as if each call built its own.
+    write_alist(from_string("110 011"), tmp_path / "p.alist")
+    write_alist(from_string("1100 0110 0011"), tmp_path / "q.alist")
+    calls = [
+        ["build", "--matrix", str(tmp_path / "p.alist"), "--out", str(tmp_path / "p")],
+        ["distance", str(tmp_path / "p"), "--level", "1"],
+        ["distance", str(tmp_path / "p"), "--level", "0", "--level", "x"],
+        ["build", "--matrix", str(tmp_path / "q.alist"), "--out", str(tmp_path / "q")],
+        ["distance", str(tmp_path / "q")],
+        ["distance", str(tmp_path / "p")],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cached = [outcome(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0]
+    assert "invalid int value: 'x'" in cached[2][2]
 
 
 @pytest.mark.parametrize("a, b, checks", [("1", "1", 11), ("2", "2", 13)])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homprod import (
     BinMatrix,
@@ -14,9 +15,20 @@ from homprod import (
     INFINITY,
     LevelOutOfRange,
     NotOrthogonal,
+    dumps_alist,
+    loads_alist,
     one_complex,
 )
-from helpers import from_rows, from_string, random_complex, ref_cochain, ref_rank
+from helpers import (
+    _kernel_of_columns,
+    from_rows,
+    from_string,
+    random_complex,
+    random_matrix,
+    ref_cochain,
+    ref_composes_to_zero,
+    ref_rank,
+)
 
 
 def test_validate_single_matrix():
@@ -40,6 +52,59 @@ def test_validate_rejects_nonorthogonal():
 def test_validate_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         ChainComplex([from_string("11"), BinMatrix.identity(3)])
+
+
+def _chain(dims, rng):
+    """Random boundaries with these dims; the rows of each A_j are drawn from
+    the left kernel of A_{j+1}, so every consecutive product vanishes."""
+    boundaries = [random_matrix(rng, dims[-2], dims[-1])]
+    for j in range(len(dims) - 3, -1, -1):
+        right = boundaries[0]
+        kernel = _kernel_of_columns(list(right.bits), right.rows)
+        words = []
+        for _ in range(dims[j]):
+            word = 0
+            for r in kernel:
+                if rng.random() < 0.5:
+                    word ^= r
+            words.append(word)
+        boundaries.insert(0, BinMatrix(dims[j], dims[j + 1], words))
+    return boundaries
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(0, 6), min_size=3, max_size=5),
+       seed=st.integers(0, 2**32 - 1),
+       flips=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 35)), max_size=2),
+       from_alist=st.lists(st.booleans(), min_size=4, max_size=4))
+# A_1 @ A_2 is tested as A_2^T @ A_1^T when A_1 has fewer rows than A_2
+# has columns, and as it stands otherwise; operands hold supports, words,
+# or one of each.
+@example(dims=[1, 3, 5], seed=1, flips=[(0, 1)], from_alist=[True] * 4)
+@example(dims=[1, 3, 5], seed=1, flips=[(0, 1)], from_alist=[False] * 4)
+@example(dims=[5, 3, 1], seed=2, flips=[(1, 1)], from_alist=[True] * 4)
+@example(dims=[5, 3, 1], seed=2, flips=[(1, 1)], from_alist=[False] * 4)
+@example(dims=[2, 4, 5, 1], seed=3, flips=[], from_alist=[True, False, True, False])
+def test_not_orthogonal_names_the_first_nonzero_product(dims, seed, flips, from_alist):
+    boundaries = _chain(dims, random.Random(seed))
+    for level, entry in flips:
+        b = boundaries[level % len(boundaries)]
+        if b.rows and b.cols:
+            i, j = divmod(entry % (b.rows * b.cols), b.cols)
+            words = list(b.bits)
+            words[i] ^= 1 << j
+            boundaries[level % len(boundaries)] = BinMatrix(b.rows, b.cols, words)
+    nonzero = [not ref_composes_to_zero(pair) for pair in zip(boundaries, boundaries[1:])]
+    boundaries = [loads_alist(dumps_alist(b)) if read else b
+                  for b, read in zip(boundaries, from_alist)]
+    if any(nonzero):
+        with pytest.raises(NotOrthogonal) as err:
+            ChainComplex(boundaries)
+        assert err.value.level == nonzero.index(True) + 2
+    else:
+        assert ChainComplex(boundaries).boundaries == tuple(boundaries)
+    # The check keeps no words on a matrix that held only supports.
+    assert all(b._bits is None for b, read in zip(boundaries, from_alist) if read)
 
 
 def test_homology_ranks_repetition():

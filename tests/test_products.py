@@ -194,13 +194,16 @@ def test_power_eliminates_only_the_seed(monkeypatch):
 
 
 def test_power_multiplies_nothing_and_its_load_checks_every_pair(tmp_path, monkeypatch):
-    # A product composes to zero by construction; a loaded bundle is checked.
-    counted = Mock(wraps=BinMatrix.__matmul__)
-    monkeypatch.setattr(BinMatrix, "__matmul__", lambda x, y: counted(x, y))
+    # A product composes to zero by construction; a loaded bundle is checked,
+    # each consecutive pair once.
+    counted = Mock(wraps=complexes._composes_to_zero)
+    monkeypatch.setattr(complexes, "_composes_to_zero", counted)
     cx = power_complex(from_string("1100 0110 0011"), 2, 2)
     assert counted.call_count == 0
     save_bundle(cx, tmp_path)
     assert load_bundle(tmp_path).complex == cx
+    assert [call.args for call in counted.call_args_list] == \
+        list(zip(cx.boundaries, cx.boundaries[1:]))
     assert counted.call_count == cx.m - 1 == 3
 
 
