@@ -16,10 +16,15 @@ The reader keeps both adjacency sections, after cross-checking them, as
 the matrix's row and column supports, whose entries share one int object
 per index, and builds no row words: those are built on the first use of
 ``BinMatrix.bits``, and a matrix that is only written, transposed,
-weighed or checked for orthogonality never keeps them.  The writer reads the
-same supports; a matrix built from row words derives them once.  A file
-is decoded as ASCII, and a byte that is not ASCII is a ``ParseError`` at
-its line.
+weighed or checked for orthogonality never keeps them.  Text in the form
+the writer writes is taken a section at a time: the column section is
+mapped through one table of index names and transposed, and the rest is
+checked in bulk, the row section as text.  Any other text goes to the
+line-by-line parser, which is the one place that names errors.  The
+writer reads the same two supports; a matrix that holds no column
+supports derives them once from its row supports, and one built from
+row words derives both.  A file is decoded as ASCII, and a byte that is
+not ASCII is a ``ParseError`` at its line.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .gf2 import BinMatrix
+from .gf2 import BinMatrix, _transpose_supports
 
 
 class ParseError(ValueError):
@@ -43,22 +48,17 @@ class InconsistentWeights(ParseError):
 
 
 def dumps_alist(m: BinMatrix) -> str:
-    """The alist text of ``m``, written in a single pass over its row supports.
+    """The alist text of ``m``, written from its column and row supports.
 
-    Each row's index names are appended to its columns' lists as the row
-    is written, so the column section needs no transpose.  Indices are
-    formatted through one table of 1-based index strings.
+    The column supports are the held ones, derived once from the row
+    supports where none are held.  Indices are formatted through one table
+    of 1-based index strings.
     """
-    names = [str(k) for k in range(1, max(m.rows, m.cols) + 1)]
-    name = names.__getitem__
-    col_lists: list[list[str]] = [[] for _ in range(m.cols)]
-    row_lines = []
-    for row_name, s in zip(names, m.supports):
-        for j in s:
-            col_lists[j].append(row_name)
-        row_lines.append(" ".join(map(name, s)))
-    col_w = list(map(len, col_lists))
-    row_w = m.row_weights()
+    supports = m.supports
+    columns = m._columns(supports)
+    name = [str(k) for k in range(1, max(m.rows, m.cols) + 1)].__getitem__
+    col_w = list(map(len, columns))
+    row_w = list(map(len, supports))
     lines = [
         f"{m.cols} {m.rows}",
         f"{max(col_w, default=0)} {max(row_w, default=0)}",
@@ -66,8 +66,8 @@ def dumps_alist(m: BinMatrix) -> str:
         " ".join(map(str, row_w)),
     ]
     # Column adjacency lists, then row lists.
-    lines += [" ".join(c) for c in col_lists]
-    lines += row_lines
+    lines += [" ".join(map(name, c)) for c in columns]
+    lines += [" ".join(map(name, s)) for s in supports]
     return "\n".join(lines) + "\n"
 
 
@@ -80,14 +80,69 @@ def _ints(lines: list[str], lineno: int) -> list[int]:
         raise ParseError(lineno, f"non-integer token in {lines[lineno - 1]!r}") from None
 
 
+# Every token is ASCII digits, but ``int`` also takes a sign, an underscore
+# or a non-ASCII digit, and ``str.splitlines`` also breaks at form feed,
+# vertical tab and \x1c-\x1e: whole-text scans refuse those.
+_REFUSED = "+-_\f\v\x1c\x1d\x1e"
+
+
 def loads_alist(text: str) -> BinMatrix:
-    # Every token is ASCII digits, but ``int`` also takes a sign, an
-    # underscore or a non-ASCII digit, and ``str.splitlines`` also breaks at
-    # form feed, vertical tab and \x1c-\x1e: whole-text scans refuse those,
-    # and only a refusal looks for the line.
-    refused = "+-_\f\v\x1c\x1d\x1e"
-    if not text.isascii() or any(c in text for c in refused):
-        i = next(i for i, c in enumerate(text) if c in refused or not c.isascii())
+    """The matrix of an alist text: taken a section at a time when the text
+    is written as ``dumps_alist`` writes it, else line by line."""
+    m = _loads_canonical(text)
+    return _loads_lines(text) if m is None else m
+
+
+def _loads_canonical(text: str) -> BinMatrix | None:
+    """The matrix of ``text`` if it is the writer's canonical text, up to
+    unsorted column lines and trailing blank lines; None for any other text.
+
+    Each column line is mapped through one ``name -> index`` dict for
+    1..rows, so a zero, a leading zero or an index out of range misses it,
+    and sorted; the columns are transposed into rows.  Weights, maxima and
+    duplicates are then checked in bulk, and the row section is compared,
+    as text, with what the writer writes for those rows.  The lines of a
+    text with a carriage return are not split here as ``str.splitlines``
+    splits them, so such a text is not taken.
+    """
+    if not text.isascii() or any(c in text for c in _REFUSED + "\r"):
+        return None
+    lines = text.split("\n")
+    try:
+        cols, rows = map(int, lines[0].split())
+        maxes = [*map(int, lines[1].split())]
+        col_w = [*map(int, lines[2].split())]
+        row_w = [*map(int, lines[3].split())]
+    except (ValueError, IndexError):
+        return None
+    if (len(col_w) != cols or len(row_w) != rows
+            or maxes != [max(col_w, default=0), max(row_w, default=0)]):
+        return None
+    names = [str(k) for k in range(1, max(rows, cols) + 1)]
+    index = dict(zip(names, range(rows))).__getitem__
+    try:
+        columns = [tuple(sorted(map(index, line.split()))) for line in lines[4:4 + cols]]
+    except KeyError:
+        return None
+    if (list(map(len, columns)) != col_w
+            or sum(map(len, map(set, columns))) != sum(col_w)):
+        return None
+    supports = _transpose_supports(columns, rows)
+    end = 4 + cols + rows
+    name = names.__getitem__
+    if (list(map(len, supports)) != row_w
+            or lines[4 + cols:end] != [" ".join(map(name, s)) for s in supports]
+            or any(map(str.strip, lines[end:]))):
+        return None
+    return BinMatrix._from_supports(rows, cols, supports, tuple(columns))
+
+
+def _loads_lines(text: str) -> BinMatrix:
+    """The matrix of any alist text the format allows, read line by line;
+    each malformed text raises ``ParseError`` at its first bad line.  Only
+    a refusal by the whole-text scans looks for the line."""
+    if not text.isascii() or any(c in text for c in _REFUSED):
+        i = next(i for i, c in enumerate(text) if c in _REFUSED or not c.isascii())
         raise ParseError(len((text[:i] + "|").splitlines()), f"{text[i]!r} is not an ASCII digit")
     lines = text.splitlines()
     header = _ints(lines, 1)

@@ -11,9 +11,11 @@ both conditions.  Each product is tested in whichever orientation,
 ``A_j @ A_{j+1}`` or ``A_{j+1}^T @ A_j^T``, has the narrower right
 operand, whose row words are the ones the product builds; a matrix read
 from an alist builds them for that product alone and keeps none, so a
-loaded complex holds at most one operand's words at a time.  A tensor
-product of complexes is a complex by construction, so ``_product``
-checks shapes only.
+loaded complex holds at most one operand's words at a time.  The test
+XORs those words along one row of the left operand at a time and stops
+at the first nonzero row; no product matrix is built.  A tensor product
+of complexes is a complex by construction, so ``_product`` checks shapes
+only.
 
 Boundary ranks are eliminated on first request and cached.  A product
 instead carries the complexes it is the product of; by the Künneth
@@ -56,10 +58,12 @@ def _composes_to_zero(left: BinMatrix, right: BinMatrix) -> bool:
     that product's right operand, ``left^T``, has fewer columns than
     ``right``.  The right operand's words are the only ones the product
     builds, so this builds the narrower words; a transpose of a matrix that
-    holds supports is a free swap."""
+    holds supports is a free swap.  No product matrix is built: the rows
+    of the product are XORed one at a time, and the first nonzero one ends
+    the test."""
     if left.rows < right.cols:
         left, right = right.transpose(), left.transpose()
-    return (left @ right).is_zero()
+    return not any(left._product_rows(right))
 
 
 class ChainComplex:

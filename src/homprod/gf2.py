@@ -9,10 +9,16 @@ words on the first use of ``bits``; writes, transposes (a swap of the
 two), weights and the left operand of a product read the supports and
 never need the words, and the right operand of a product builds them
 for that product alone and does not keep them.  A matrix built from row
-words runs the same operations on its words, which costs less than
-building supports for one use; it derives its supports only on request,
-for a write, and keeps no copy.  Values never change after construction
-(the lazily built words are a cache), so they can be shared freely.
+supports alone (a product boundary on its way to disk) derives its
+column supports on the first transpose, column weights or write, and
+keeps them.  A matrix built from row words runs the same operations on
+its words, which costs less than building supports for one use; it
+derives its supports only on request, for a write, and keeps no copy.
+The rows of a product come one at a time from ``_product_rows``, so a
+test for a zero product stops at the first nonzero row and builds no
+product matrix.  Values never change after construction (the lazily
+built words and column supports are caches), so they can be shared
+freely.
 
 One forward-elimination primitive, ``_forward``, does all elimination.
 Rank is the size of its ``pivot -> row`` map, ``solve`` reduces against
@@ -33,7 +39,7 @@ depend on that form, bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -55,6 +61,18 @@ def _as_mask(vector, length: int) -> int:
             raise ValueError(f"vector entry {b!r} is not a bit")
         mask |= b << i
     return mask
+
+
+def _transpose_supports(supports: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The supports of the ``n`` columns of the matrix whose row supports
+    these are, each sorted: row indices are appended in row order, one bound
+    ``append`` per entry."""
+    cols: list[list[int]] = [[] for _ in range(n)]
+    appends = [c.append for c in cols]
+    for i, s in enumerate(supports):
+        for j in s:
+            appends[j](i)
+    return tuple(map(tuple, cols))
 
 
 def _support(b: int) -> tuple[int, ...]:
@@ -96,9 +114,11 @@ class BinMatrix:
 
     @classmethod
     def _from_supports(cls, rows: int, cols: int, supports: tuple[tuple[int, ...], ...],
-                       col_supports: tuple[tuple[int, ...], ...]) -> "BinMatrix":
+                       col_supports: tuple[tuple[int, ...], ...] | None = None) -> "BinMatrix":
         """The matrix with these row and column supports, trusted as given:
-        sorted, in range, and each other's transpose.  No row word is built."""
+        sorted, in range, and each other's transpose.  No row word is built.
+        Without column supports, the first ``transpose`` or ``col_weights``
+        derives them from the row supports and keeps them."""
         m = cls.__new__(cls)
         m._nrows = rows
         m._ncols = cols
@@ -163,6 +183,20 @@ class BinMatrix:
             supports = tuple(map(_support, self._bits))
         return supports
 
+    def _columns(self, supports: Sequence[Sequence[int]] | None = None
+                 ) -> tuple[tuple[int, ...], ...]:
+        """Sorted row indices of the ones of each column: the held ones, else
+        derived from the row supports, and kept by a matrix held by them.
+        ``supports``, when given, are this matrix's row supports, so a matrix
+        built from row words need not derive them again."""
+        cols = self._col_supports
+        if cols is None:
+            cols = _transpose_supports(self.supports if supports is None else supports,
+                                       self._ncols)
+            if self._supports is not None:
+                self._col_supports = cols
+        return cols
+
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         if not (0 <= i < self._nrows and 0 <= j < self._ncols):
@@ -179,7 +213,7 @@ class BinMatrix:
         them, else column words built from the row words."""
         if self._supports is not None:
             return BinMatrix._from_supports(self._ncols, self._nrows,
-                                            self._col_supports, self._supports)
+                                            self._columns(), self._supports)
         cols = [0] * self._ncols
         for i, b in enumerate(self._bits):
             bit = 1 << i
@@ -190,25 +224,29 @@ class BinMatrix:
         return BinMatrix(self._ncols, self._nrows, cols)
 
     def __matmul__(self, other: "BinMatrix") -> "BinMatrix":
-        """Row i of the product is the XOR of the words of ``other`` at the
-        ones of row i, read off this matrix's supports or row words.
-
-        ``other`` keeps no words that it did not hold before: a matrix that
-        holds only supports builds them for this product alone."""
+        """The product, one row of ``_product_rows`` at a time."""
         if not isinstance(other, BinMatrix):
             return NotImplemented
         if self._ncols != other._nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
+        return BinMatrix(self._nrows, other._ncols, list(self._product_rows(other)))
+
+    def _product_rows(self, other: "BinMatrix") -> Iterator[int]:
+        """The row words of ``self @ other`` (shapes trusted), one at a time:
+        row i is the XOR of the words of ``other`` at the ones of row i, read
+        off this matrix's supports or row words.
+
+        ``other`` keeps no words that it did not hold before: a matrix that
+        holds only supports builds them for this product alone."""
         obits = other._words()
-        out = []
         if self._supports is not None:
             for s in self._supports:
                 acc = 0
                 for j in s:
                     acc ^= obits[j]
-                out.append(acc)
+                yield acc
         else:
             for b in self._bits:
                 acc = 0
@@ -216,8 +254,7 @@ class BinMatrix:
                     j = b.bit_length() - 1
                     acc ^= obits[j]
                     b ^= 1 << j
-                out.append(acc)
-        return BinMatrix(self._nrows, other._ncols, out)
+                yield acc
 
     def mul_vec(self, x) -> int:
         """Matrix-vector product ``m @ x`` as an int bitset over the rows."""
@@ -235,7 +272,7 @@ class BinMatrix:
 
     def col_weights(self) -> list[int]:
         if self._supports is not None:
-            return list(map(len, self._col_supports))
+            return list(map(len, self._columns()))
         w = [0] * self._ncols
         for b in self._bits:
             while b:

@@ -7,13 +7,16 @@ role over GF(2) and are dropped throughout.  ``tensor_product`` is the one
 construction: the paper's complexes, each the previous one times a
 two-space complex K(p), are ``tensor_product(a, one_complex(p))``.
 
-Each product boundary is assembled in one pass: every row word is the
-spread row of a factor boundary of a plus a shifted row of a factor
-boundary of b, written straight into the result with no Kronecker or
-stacking intermediates.  The boundaries can also be had one at a time,
-in level order, from the fold of every factor of a power but the last
-and that last factor, which is how a power is written to disk with one
-product boundary's words in memory at a time.
+Two builders share one block layout (``_row_blocks``).  In memory, each
+product boundary is assembled in one pass: every row word is the spread
+row of a factor boundary of a plus a shifted row of a factor boundary of
+b, written straight into the result with no Kronecker or stacking
+intermediates; elimination reads those words.  On disk, the boundaries
+come one at a time, in level order, as row supports: each row is two
+sorted runs of index arithmetic on one row of each factor's supports,
+and no row word of the product is built.  That is how ``power`` writes
+the product of the fold of every factor but the last and that last
+factor, and how ``product`` and ``verify`` take theirs.
 
 The formulas are arithmetic over factor data (dimensions, homology ranks,
 per-level distances); none of them searches for a distance itself.  Over
@@ -70,31 +73,64 @@ def _spread(word: int, stride: int) -> int:
     return out
 
 
-def _product_boundary(a: ChainComplex, b: ChainComplex, level: int) -> BinMatrix:
-    """Boundary ``level`` of the product, each row word written in one pass.
-
-    Row (ra, rb) of row block (i, j) meets two column blocks: in (i+1, j)
-    it is row ra of A_{i+1} (x) E, so bit c of that row lands at
-    c * n_j(b) + rb; in (i, j+1) it is row rb of E (x) B_{j+1}, shifted
-    by ra * n_{j+1}(b).  All other blocks of the row are zero.  Past the
-    top of a factor, its boundary is the trivial operator, whose words
-    are all zero, so the missing block's offset does not matter.
+def _row_blocks(a: ChainComplex, b: ChainComplex,
+                level: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The block layout of boundary ``level`` of the product: its column
+    count, and (i, j, to_right, to_left) for each row block (i, j) of level
+    ``level - 1`` in row order.  Row (ra, rb) of block (i, j) meets two
+    column blocks: (i, j+1), at offset ``to_right``, where it is row rb of
+    E (x) B_{j+1} shifted by ra * n_{j+1}(b); and (i+1, j), at offset
+    ``to_left``, where it is row ra of A_{i+1} (x) E, with column c of that
+    row at c * n_j(b) + rb.  Block (i, j+1) comes first in the column
+    order.  Past the top of a factor, its boundary is the trivial operator,
+    whose rows are all zero, so the missing block's offset does not matter.
     """
     offsets = {}
     width = 0
     for i, j in _block_indices(a, b, level):
         offsets[i] = width
         width += a.dim(i) * b.dim(j)
+    return width, [(i, j, offsets.get(i, 0), offsets.get(i + 1, 0))
+                   for i, j in _block_indices(a, b, level - 1)]
+
+
+def _product_boundary(a: ChainComplex, b: ChainComplex, level: int) -> BinMatrix:
+    """Boundary ``level`` of the product, each row word written in one pass."""
+    width, blocks = _row_blocks(a, b, level)
     rows = []
-    for i, j in _block_indices(a, b, level - 1):
+    for i, j, to_right, to_left in blocks:
         left, right = a.boundary(i + 1), b.boundary(j + 1)
-        to_left = offsets.get(i + 1, 0)
-        right_words = [word << offsets.get(i, 0) for word in right.bits]
+        right_words = [word << to_right for word in right.bits]
         for ra, word in enumerate(left.bits):
             spread = _spread(word, b.dim(j)) << to_left
             shift = ra * right.cols
             rows.extend((spread << rb) | (w << shift) for rb, w in enumerate(right_words))
     return BinMatrix(len(rows), width, rows)
+
+
+def _product_supports(a: ChainComplex, b: ChainComplex, level: int,
+                      sa: Sequence[Sequence[tuple[int, ...]]],
+                      sb: Sequence[Sequence[tuple[int, ...]]]) -> BinMatrix:
+    """Boundary ``level`` of the product as row supports, from the supports
+    ``sa[i]`` of ``a.boundary(i)`` and ``sb[j]`` of ``b.boundary(j)``.
+
+    Row (ra, rb) of row block (i, j) is two runs, each already sorted and
+    the first below the second: to_right + ra * n_{j+1}(b) + w for w in row
+    rb of B_{j+1}, then to_left + c * n_j(b) + rb for c in row ra of
+    A_{i+1}.  No row word is built.
+    """
+    width, blocks = _row_blocks(a, b, level)
+    rows = []
+    append = rows.append
+    for i, j, to_right, to_left in blocks:
+        n_j, n_right = b.dim(j), b.boundary(j + 1).cols
+        right = [[to_right + w for w in s] for s in sb[j + 1]]
+        for ra, s in enumerate(sa[i + 1]):
+            left = [to_left + c * n_j for c in s]
+            shift = (ra * n_right).__add__
+            for rb, r in enumerate(right):
+                append((*map(shift, r), *map(rb.__add__, left)))
+    return BinMatrix._from_supports(len(rows), width, tuple(rows))
 
 
 def tensor_product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
@@ -106,15 +142,20 @@ def tensor_product(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     ranks are the Künneth convolution of the factors' ranks, and its
     boundary ranks follow from them, filled on the first rank request, so
     no product boundary is ever eliminated: only the complexes at the
-    bottom of a fold of products are.
+    bottom of a fold of products are.  The boundaries are built as row
+    words, which elimination reads.
     """
-    return _product(list(_product_boundaries(a, b)), a, b)
+    return _product([_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1)], a, b)
 
 
 def _product_boundaries(a: ChainComplex, b: ChainComplex) -> Iterator[BinMatrix]:
     """The boundaries of the product of ``a`` and ``b``, in level order, each
-    built when it is asked for."""
-    return (_product_boundary(a, b, level) for level in range(1, a.m + b.m + 1))
+    built as row supports when it is asked for; each factor boundary's
+    supports are taken once, on the first request."""
+    sa = [a.boundary(i).supports for i in range(a.m + 2)]
+    sb = [b.boundary(j).supports for j in range(b.m + 2)]
+    for level in range(1, a.m + b.m + 1):
+        yield _product_supports(a, b, level, sa, sb)
 
 
 def _power_split(p: BinMatrix, a: int, b: int) -> tuple[ChainComplex | None, ChainComplex]:

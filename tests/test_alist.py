@@ -468,3 +468,114 @@ def test_property_read_matrix_agrees_with_word_matrix(data):
         product = ref_matmul(left, m)
         assert list((read_left @ read()).bits) == list((left @ m).bits) == product
         assert list((left @ read()).bits) == list((read_left @ m).bits) == product
+
+
+# --- the section-at-a-time reader against the line-by-line parser -----------
+
+def _mutate(draw, text: str, mutation: str) -> str:
+    """``text`` with one change of the kind ``mutation`` names, at a drawn place."""
+    if mutation == "CRLF":
+        return text.replace("\n", "\r\n")
+    if mutation == "trailing blanks":
+        return text + draw(st.sampled_from(["\n", " \n\n", "\t\n \n"]))
+    if mutation == "truncation":
+        return text[:draw(st.integers(0, len(text)))]
+    lines = text.splitlines()
+    cols, rows = map(int, lines[0].split())
+    # (index of the weight line, indices of the adjacency lines) per section.
+    columns, row_lines = (2, range(4, 4 + cols)), (3, range(4 + cols, 4 + cols + rows))
+    if mutation == "duplicate in both sections":
+        ones = [(i, int(t) - 1) for i, k in enumerate(row_lines[1]) for t in lines[k].split()]
+        if ones:
+            i, j = draw(st.sampled_from(ones))
+            lines[4 + j] += f" {i + 1}"
+            lines[4 + cols + i] += f" {j + 1}"
+            col_w, row_w = ([int(w) for w in lines[n].split()] for n in (2, 3))
+            col_w[j] += 1
+            row_w[i] += 1
+            lines[1] = f"{max(col_w)} {max(row_w)}"
+            lines[2], lines[3] = " ".join(map(str, col_w)), " ".join(map(str, row_w))
+    elif mutation in ("swapped row lines", "swapped weights"):
+        n, at = row_lines if mutation == "swapped row lines" else draw(
+            st.sampled_from([columns, row_lines]))
+        if len(at) >= 2:
+            i, j = draw(st.lists(st.integers(0, len(at) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            if mutation == "swapped row lines":
+                lines[at[i]], lines[at[j]] = lines[at[j]], lines[at[i]]
+            else:
+                w = lines[n].split()
+                w[i], w[j] = w[j], w[i]
+                lines[n] = " ".join(w)
+    elif cols + rows:
+        k = draw(st.integers(4, 3 + cols + rows))
+        tokens = lines[k].split()
+        if mutation == "zero padding":
+            tokens += ["0"] * draw(st.integers(1, 2))
+        elif mutation == "leading zeros" and tokens:
+            t = draw(st.integers(0, len(tokens) - 1))
+            tokens[t] = "0" + tokens[t]
+        elif mutation == "unsorted line":
+            tokens.reverse()
+        sep = draw(st.sampled_from(["  ", "\t", " \t"])) \
+            if mutation == "doubled spaces or tabs" else " "
+        lines[k] = draw(st.sampled_from(["", sep])) + sep.join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+MUTATIONS = ["none", "zero padding", "leading zeros", "doubled spaces or tabs",
+             "unsorted line", "CRLF", "trailing blanks", "duplicate in both sections",
+             "swapped row lines", "swapped weights", "truncation"]
+
+
+def _outcome(parse, text):
+    """(matrix shape, row supports, column supports), or (error class, line, message)."""
+    try:
+        m = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return m.shape, m.supports, m.transpose().supports
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@example(None)
+def test_property_reader_agrees_with_the_line_parser(data):
+    # The reader takes canonical text a section at a time and hands any other
+    # text to the line-by-line parser: it gives that parser's matrix, or its
+    # error class, line and message, for every text.
+    if data is None:  # explicit examples: the accepted variants, the malformed texts
+        texts = [case[1] for case in ACCEPTED + MALFORMED] + [  # and texts off by a section
+            _with(l3="2 1 1"),  # swapped column weights
+            "3 2\n1 2\n1 1 1\n2 1\n1\n2\n2\n1\n2 3\n",  # swapped row weights
+            "1 1\n2 2\n2\n2\n1 1\n1 1\n",  # one duplicate written into both sections
+            "\n".join(GOOD_LINES[:4] + GOOD_LINES[5:6] + GOOD_LINES[4:5] + GOOD_LINES[6:]) + "\n",
+        ]
+    else:
+        m = data.draw(word_matrices())
+        texts = [_mutate(data.draw, dumps_alist(m), data.draw(st.sampled_from(MUTATIONS)))]
+    for text in texts:
+        assert _outcome(loads_alist, text) == _outcome(alist._loads_lines, text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_matrices())
+def test_canonical_text_is_read_a_section_at_a_time(m):
+    text = dumps_alist(m)
+    # A matrix built from row words keeps no supports that a write derived.
+    assert m._supports is None and m._col_supports is None
+    read = alist._loads_canonical(text)
+    assert read is not None and read._bits is None
+    assert (read.shape, read.supports, read.transpose().supports) == \
+        (m.shape, m.supports, m.transpose().supports)
+    # Trailing blank lines and unsorted column lines are still taken; a
+    # zero, a carriage return or a wrong row line is not.
+    lines = text.splitlines()
+    assert alist._loads_canonical(text + "\n \n") is not None
+    cols = m.cols
+    for k in range(4, 4 + cols):
+        lines[k] = " ".join(reversed(lines[k].split()))
+    assert alist._loads_canonical("\n".join(lines) + "\n") is not None
+    assert alist._loads_canonical(text.replace("\n", "\r\n")) is None
+    if m.rows:
+        assert alist._loads_canonical(text + "0\n") is None

@@ -27,7 +27,7 @@ from homprod import (
     read_alist,
     write_alist,
 )
-from homprod import cli
+from homprod import bundle, cli
 from homprod.bundle import load_bundle, save_bundle
 from homprod.cli import main
 from helpers import from_rows, from_string
@@ -318,10 +318,10 @@ def test_export_css_reload_reproduces_parameters(toric_bundle, tmp_path, capsys)
 
 
 def test_export_css_trusts_the_loaded_complex(tmp_path, capsys, monkeypatch):
-    # The load checks the 4D complex's 3 consecutive pairs, one product
-    # each; the code cut from it is orthogonal by construction, so outside
-    # those checks only g_z's one transpose is left, and no product is
-    # checked again.
+    # The load checks the 4D complex's 3 consecutive pairs, each by XORing
+    # product rows with no product matrix; the code cut from it is
+    # orthogonal by construction, so outside those checks only g_z's one
+    # transpose is left, and no product is multiplied out.
     out = tmp_path / "t4"
     assert run(capsys, "power", "--ensemble", "rep:3", "--a", "2", "--b", "2",
                "--out", str(out))[0] == 0
@@ -342,7 +342,7 @@ def test_export_css_trusts_the_loaded_complex(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "export-css", str(out), "--level", "2",
                      "--out", str(tmp_path / "css"))
     assert code == 0
-    assert (len(checked), matmuls.call_count, transposes.call_count - sum(checked)) == (3, 3, 1)
+    assert (len(checked), matmuls.call_count, transposes.call_count - sum(checked)) == (3, 0, 1)
     # A pair given from outside keeps the full check.
     g_x = read_alist(tmp_path / "css" / "gx.alist")
     with pytest.raises(InvalidSpec):
@@ -438,6 +438,40 @@ def test_verify_nested_product(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(abb))
     assert code == 0
     assert "violations=0" in out
+
+
+def test_power_and_product_write_boundaries_held_by_supports(tmp_path, capsys, monkeypatch):
+    # Each product boundary is written from row supports built out of the
+    # factors' supports, so no written boundary holds row words; each bundle
+    # equals the one save_bundle writes for the whole word-built product.
+    written = []
+    write = bundle.write_alist
+
+    def recording_write(m, path):
+        written.append((Path(path).name.split(".")[1], m._bits is None))
+        write(m, path)
+
+    p = from_string("1100 0110 0011")
+    assert run(capsys, "power", "--ensemble", "rep:3", "--a", "2", "--b", "1",
+               "--out", str(tmp_path / "t3"))[0] == 0
+    assert run(capsys, "power", "--ensemble", "rep:2", "--a", "0", "--b", "2",
+               "--out", str(tmp_path / "t2"))[0] == 0
+    factors = [load_bundle(tmp_path / name).complex for name in ("t3", "t2")]
+    monkeypatch.setattr(bundle, "write_alist", recording_write)
+    write_alist(p, tmp_path / "p.alist")
+    assert run(capsys, "power", "--matrix", str(tmp_path / "p.alist"), "--a", "2", "--b", "2",
+               "--out", str(tmp_path / "p4"))[0] == 0
+    assert run(capsys, "product", str(tmp_path / "t3"), str(tmp_path / "t2"),
+               "--out", str(tmp_path / "t5"))[0] == 0
+    assert written == [(f"A{j}", True) for j in range(1, 5)] + \
+        [(f"A{j}", True) for j in range(1, 6)]
+    monkeypatch.setattr(bundle, "write_alist", write)
+    for name, cx in (("p4", power_complex(p, 2, 2)),
+                     ("t5", homprod.tensor_product(*factors))):
+        save_bundle(cx, tmp_path / "saved", load_bundle(tmp_path / name).provenance)
+        for j in range(1, cx.m + 1):
+            assert (tmp_path / name / f"A{j}.alist").read_bytes() == \
+                (tmp_path / "saved" / f"A{j}.alist").read_bytes()
 
 
 def test_product_rerun_replaces_factor_copies(tmp_path, capsys):

@@ -25,8 +25,9 @@ from homprod import (
     sparsity,
     tensor_product,
 )
-from homprod import complexes, gf2
+from homprod import complexes, dumps_alist, gf2, loads_alist
 from homprod.bundle import load_bundle, save_bundle
+from homprod.products import _power_split, _product_boundaries
 from helpers import (
     from_string,
     naive_level_distance,
@@ -144,6 +145,58 @@ def test_tensor_product_matches_entrywise_reference(case):
     boundaries = tensor_product(a, b).boundaries
     assert boundaries == ref_tensor_product(a, b)
     assert ref_composes_to_zero(boundaries)
+
+
+def _reloaded(cx: ChainComplex) -> ChainComplex:
+    """``cx`` as a loaded bundle holds it: every boundary read from its alist."""
+    return ChainComplex([loads_alist(dumps_alist(m)) for m in cx.boundaries])
+
+
+@st.composite
+def streamed_factors(draw):
+    """The two factors that ``power`` or ``product`` streams: the split of a
+    power of a seed up to 3 x 4 (m up to 4; a single factor splits into
+    None and itself), or two random complexes whose levels may be
+    zero-dimensional; either factor may be held as a loaded bundle holds it."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+        words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+        exponents = draw(st.sampled_from([(1, 0), (0, 1), (0, 2), (2, 2), (1, 1), (2, 1),
+                                          (1, 3), (4, 0)]))
+        a, b = _power_split(BinMatrix(rows, cols, words), *exponents)
+    else:
+        a, b = draw(complex_pair())
+    reload_a, reload_b = draw(st.booleans()), draw(st.booleans())
+    if a is not None and reload_a:
+        a = _reloaded(a)
+    return a, (_reloaded(b) if reload_b else b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(streamed_factors())
+@example((one_complex(P2), one_complex(P2.transpose())))
+@example((ZERO_LEVEL, ZERO_LEVEL))
+@example((_reloaded(power_complex(from_string("110 011"), 1, 1)),
+          _reloaded(power_complex(from_string("110 011"), 0, 2))))
+def test_streamed_boundaries_are_the_word_built_ones(case):
+    # The supports built from the factors' supports against the words built
+    # from the factors' words and the entry-by-entry reference, row and
+    # column supports both; no streamed boundary holds row words, and a
+    # factor held by its supports builds none.
+    a, b = case
+    if a is None:
+        return
+    streamed = list(_product_boundaries(a, b))
+    assert all(m._bits is None for m in streamed)
+    assert all(f._bits is None for f in a.boundaries + b.boundaries
+               if f._supports is not None)
+    built = tensor_product(a, b).boundaries
+    assert built == ref_tensor_product(a, b)
+    assert [m.shape for m in streamed] == [m.shape for m in built]
+    assert [m.supports for m in streamed] == [m.supports for m in built]
+    assert [m.transpose().supports for m in streamed] == \
+        [m.transpose().supports for m in built]
+    assert [dumps_alist(m) for m in streamed] == [dumps_alist(m) for m in built]
 
 
 @st.composite
